@@ -7,8 +7,8 @@ type hit = {
 
 let m_searches = Obs.Metrics.counter "pdms.keyword.searches"
 let m_scored = Obs.Metrics.counter "pdms.keyword.tuples_scored"
-let m_memo_hits = Obs.Metrics.counter "pdms.keyword.memo_hits"
-let m_memo_misses = Obs.Metrics.counter "pdms.keyword.memo_misses"
+let m_entries_reused = Obs.Metrics.counter "pdms.keyword.entries_reused"
+let m_entries_built = Obs.Metrics.counter "pdms.keyword.entries_built"
 let m_hits_returned = Obs.Metrics.counter "pdms.keyword.hits_returned"
 let m_relations_indexed = Obs.Metrics.counter "pdms.kwindex.relations_indexed"
 let m_candidates = Obs.Metrics.counter "pdms.kwindex.candidates"
@@ -27,7 +27,7 @@ let indexed ~jobs ~trace ~metrics ~limit entries query_toks =
     Obs.Trace.span trace "kwindex.probe" @@ fun () ->
     Obs.Trace.attr_i trace "jobs" jobs;
     Util.Pool.map jobs
-      (fun e -> Kwindex.probe e ~stamp corpus query_vec)
+      (fun e -> Kwindex.probe ~metrics e ~stamp corpus query_vec)
       entries
   in
   let candidates = ref 0 and skipped = ref 0 in
@@ -170,8 +170,8 @@ let search ?(limit = 10) ?(exec = Exec.default) ?network catalog keywords =
     let n_entries = List.length entries in
     Obs.Metrics.incr m_searches;
     Obs.Metrics.add m_scored scanned;
-    Obs.Metrics.add m_memo_hits (n_entries - !built);
-    Obs.Metrics.add m_memo_misses !built;
+    Obs.Metrics.add m_entries_reused (n_entries - !built);
+    Obs.Metrics.add m_entries_built !built;
     Obs.Metrics.add m_hits_returned (List.length hits);
     Obs.Metrics.add m_relations_indexed n_entries;
     Obs.Metrics.add m_candidates candidates;

@@ -15,6 +15,27 @@
    A full rebuild happens only on a cold entry, when the delta log was
    truncated past the cached version (counted in
    [pdms.delta.rebuild_fallbacks]), or with [~incremental:false].
+   Once dead slots outnumber live ones, the entry is compacted: live
+   slots are renumbered densely in ascending order and postings, norms
+   and dirty slots are remapped ([pdms.kwindex.compactions]).
+
+   The corpus statistics follow the same patch-not-rebuild rule.
+   - Each patch logs the tokens it touched, keyed by the version it
+     started from, and marks the slots it added or killed dirty.  A
+     rebuilt entry starts with an empty log.
+   - The merged corpus is memoised per reachable uid set (a small
+     table, so searches over different catalogs or fault-toggled
+     reachable sets do not evict each other).  When only versions
+     moved and every moved entry's log reaches back to the memo's
+     version, df is recomputed for the touched tokens alone and
+     patched into the memo's corpus ([pdms.kwindex.df_patched]); the
+     patched corpus remembers its parent stamp and which tokens' idf
+     changed bitwise — all of them when [n] changed.
+   - An entry whose norms belong to the parent stamp re-norms only its
+     dirty slots and the live slots posted under idf-changed tokens
+     ([pdms.kwindex.norms_patched]), and only when [n] is unchanged.
+     Every other case (cold entry, rebuilt entry, new reachable set,
+     changed [n]) merges df and computes norms in full, as before.
 
    Byte-identity with the brute-force scorer is load-bearing: the
    [--no-index] escape hatch must produce the same hit lists bit for
@@ -32,10 +53,14 @@
    below 2^53.
 
    Patching preserves all three: live docs keep their tf vectors
-   bit-for-bit, df counts stay exact integers ([len] per posting), and
-   candidate enumeration stays ascending by slot — dead slots are
-   simply skipped, so the relative order of live docs (hence every
-   Topk tie-break) equals a compacting rebuild's. *)
+   bit-for-bit, df counts stay exact integers ([len] per posting,
+   summed afresh over every reachable entry for each touched token),
+   a re-normed slot runs the same [slot_norm] fold over the same idf
+   bits, a slot whose tokens' idf bits did not move keeps a norm equal
+   to recomputing it, and candidate enumeration stays ascending by
+   slot — dead slots are skipped and compaction keeps live slots in
+   order, so the relative order of live docs (hence every Topk
+   tie-break) equals a compacting rebuild's. *)
 
 module Smap = Map.Make (String)
 
@@ -63,6 +88,10 @@ type entry = {
   mutable doc_count : int;  (* live slots *)
   mutable norms : (int * float array * float) option;
       (* (corpus stamp, per-slot norm, min positive norm) *)
+  mutable dirty : int list;  (* slots added or killed since [norms] *)
+  mutable log : (int * string list) list;
+      (* newest first: (version a patch started from, tokens it
+         touched); contiguous up to [version] *)
   mutable last_used : int;
 }
 
@@ -76,6 +105,9 @@ type probe = {
 let m_builds = Obs.Metrics.counter "pdms.kwindex.builds"
 let m_postings = Obs.Metrics.counter "pdms.kwindex.postings"
 let m_df_merges = Obs.Metrics.counter "pdms.kwindex.df_merges"
+let m_df_patched = Obs.Metrics.counter "pdms.kwindex.df_patched"
+let m_norms_patched = Obs.Metrics.counter "pdms.kwindex.norms_patched"
+let m_compactions = Obs.Metrics.counter "pdms.kwindex.compactions"
 let h_posting_len = Obs.Metrics.histogram "pdms.kwindex.posting_len"
 let m_patched = Obs.Metrics.counter "pdms.delta.patched_postings"
 let m_fallbacks = Obs.Metrics.counter "pdms.delta.rebuild_fallbacks"
@@ -141,6 +173,8 @@ let build ?(metrics = true) ~rel_name rel =
     postings;
     doc_count = n;
     norms = None;
+    dirty = [];
+    log = [];
     last_used = 0;
   }
 
@@ -156,6 +190,16 @@ let find_live_slot e tuple =
     else go (i + 1)
   in
   go 0
+
+(* Dirty slots only matter against cached norms; past [n_slots] of them
+   a full renorm is as cheap, so the cache is dropped instead. *)
+let mark_dirty e slot =
+  if Option.is_some e.norms then
+    if List.compare_length_with e.dirty e.n_slots > 0 then begin
+      e.norms <- None;
+      e.dirty <- []
+    end
+    else e.dirty <- slot :: e.dirty
 
 (* Tombstone the lowest live slot holding [tuple]: splice its id out of
    every posting it appears in (recomputing max_tf by scan) and blank
@@ -192,7 +236,8 @@ let remove_doc e touched tuple =
         e.token_tfs.(slot);
       e.token_tfs.(slot) <- [||];
       e.live.(slot) <- false;
-      e.doc_count <- e.doc_count - 1
+      e.doc_count <- e.doc_count - 1;
+      mark_dirty e slot
 
 (* Append [tuple] at a fresh slot; since the new slot id exceeds every
    existing one, pushing it onto each posting keeps ids ascending. *)
@@ -215,6 +260,7 @@ let add_doc e touched tuple =
   e.live.(slot) <- true;
   e.n_slots <- e.n_slots + 1;
   e.doc_count <- e.doc_count + 1;
+  mark_dirty e slot;
   Array.iter
     (fun (tok, tf) ->
       Hashtbl.replace touched tok ();
@@ -238,6 +284,53 @@ let add_doc e touched tuple =
             { ids = [| slot |]; tfs = [| tf |]; len = 1; max_tf = tf })
     tfs
 
+let min_norm ns =
+  Array.fold_left
+    (fun acc n -> if n > 0.0 && n < acc then n else acc)
+    infinity ns
+
+(* Renumber the live slots densely, in ascending order, so enumeration
+   order (and every tie-break) is unchanged.  Dead dirty slots vanish
+   with their norms; live ones follow their slot. *)
+let compact e =
+  let remap = Array.make e.n_slots (-1) in
+  let k = ref 0 in
+  for i = 0 to e.n_slots - 1 do
+    if e.live.(i) then begin
+      remap.(i) <- !k;
+      e.tuples.(!k) <- e.tuples.(i);
+      e.token_tfs.(!k) <- e.token_tfs.(i);
+      incr k
+    end
+  done;
+  let live = !k in
+  Array.fill e.live 0 live true;
+  Array.fill e.live live (e.n_slots - live) false;
+  Array.fill e.tuples live (e.n_slots - live) [||];
+  Array.fill e.token_tfs live (e.n_slots - live) [||];
+  Hashtbl.iter
+    (fun _ p ->
+      for i = 0 to p.len - 1 do
+        p.ids.(i) <- remap.(p.ids.(i))
+      done)
+    e.postings;
+  e.norms <-
+    Option.map
+      (fun (stamp, ns, _) ->
+        let ns' = Array.make live 0.0 in
+        Array.iteri (fun i n -> if remap.(i) >= 0 then ns'.(remap.(i)) <- n) ns;
+        (stamp, ns', min_norm ns'))
+      e.norms;
+  e.dirty <-
+    List.filter_map
+      (fun s -> if remap.(s) >= 0 then Some remap.(s) else None)
+      e.dirty;
+  e.n_slots <- live
+
+(* Log records older than this are dropped; a corpus memo that old
+   falls back to a full df merge. *)
+let max_log = 32
+
 let patch ~metrics e rel deltas =
   let touched = Hashtbl.create 16 in
   List.iter
@@ -245,9 +338,24 @@ let patch ~metrics e rel deltas =
       List.iter (remove_doc e touched) (Relalg.Relation.Delta.dels d);
       List.iter (add_doc e touched) (Relalg.Relation.Delta.adds d))
     deltas;
+  let tokens = Hashtbl.fold (fun tok () acc -> tok :: acc) touched [] in
+  e.log <- List.filteri (fun i _ -> i < max_log) ((e.version, tokens) :: e.log);
   e.version <- Relalg.Relation.version rel;
-  e.norms <- None;
+  if e.n_slots - e.doc_count > e.doc_count then begin
+    compact e;
+    if metrics then Obs.Metrics.incr m_compactions
+  end;
   if metrics then Obs.Metrics.add m_patched (Hashtbl.length touched)
+
+(* The tokens touched between version [v] and the entry's current
+   version, if the log still reaches back to [v]. *)
+let touched_since e v =
+  let rec go acc = function
+    | (from, toks) :: rest when from >= v ->
+        if from = v then Some (toks @ acc) else go (toks @ acc) rest
+    | _ -> None
+  in
+  if v = e.version then Some [] else go [] e.log
 
 (* uid -> entry. Bounded; overflow evicts the single least-recently-used
    entry (O(store) scan, paid only at the cap). *)
@@ -315,70 +423,176 @@ let store_size () =
   n
 
 (* The global corpus depends on the reachable set (down peers change df
-   and n per query), so it can't live in the per-relation entries. A
-   one-slot memo keyed on the reachable [(uid, version)] list serves the
-   repeated-search regime; each recompute mints a fresh stamp that
-   invalidates the per-entry norm caches. *)
-let stamp_counter = ref 0
+   and n per query), so it can't live in the per-relation entries.  A
+   small table holds one corpus per reachable uid set (the
+   [max_memos] most recently computed); each recompute mints a fresh
+   stamp that invalidates the per-entry norm caches, and a patched
+   corpus records the stamp it came from and the tokens whose idf
+   moved ([None]: all of them). *)
+type memo = {
+  uids : int list;
+  versions : int list;
+  stamp : int;
+  tfidf : Util.Tfidf.corpus;
+  parent : int;  (* stamp patched from; 0 after a full merge *)
+  idf_changed : string list option;
+}
 
-let corpus_memo : ((int * int) list * int * Util.Tfidf.corpus) option ref =
-  ref None
+let max_memos = 8
+let stamp_counter = ref 0
+let memos : memo list ref = ref []
+
+let full_df entries =
+  let df : (string, int) Hashtbl.t = Hashtbl.create 1024 in
+  List.iter
+    (fun e ->
+      Hashtbl.iter
+        (fun tok p ->
+          let prev = Option.value ~default:0 (Hashtbl.find_opt df tok) in
+          Hashtbl.replace df tok (prev + p.len))
+        e.postings)
+    entries;
+  Hashtbl.fold (fun tok c acc -> (tok, c) :: acc) df []
+
+(* The tokens whose df may differ from [m]'s, if every moved entry's log
+   reaches back to the version [m] saw it at. *)
+let moved_tokens m entries =
+  let seen = Hashtbl.create 16 in
+  let rec go vs es =
+    match (vs, es) with
+    | [], [] -> true
+    | v :: vs, e :: es -> (
+        match touched_since e v with
+        | Some toks ->
+            List.iter (fun t -> Hashtbl.replace seen t ()) toks;
+            go vs es
+        | None -> false)
+    | _ -> false
+  in
+  if go m.versions entries then
+    Some (Hashtbl.fold (fun tok () acc -> tok :: acc) seen [])
+  else None
+
+let patched_df entries tokens =
+  List.map
+    (fun tok ->
+      ( tok,
+        List.fold_left
+          (fun acc e ->
+            match Hashtbl.find_opt e.postings tok with
+            | Some p -> acc + p.len
+            | None -> acc)
+          0 entries ))
+    tokens
 
 let corpus ?(metrics = true) entries =
-  let key = List.map (fun e -> (e.uid, e.version)) entries in
+  let uids = List.map (fun e -> e.uid) entries in
+  let versions = List.map (fun e -> e.version) entries in
   Mutex.lock lock;
-  let memo = !corpus_memo in
+  let memo = List.find_opt (fun m -> m.uids = uids) !memos in
   Mutex.unlock lock;
   match memo with
-  | Some (k, stamp, c) when k = key -> (stamp, c)
+  | Some m when m.versions = versions -> (m.stamp, m.tfidf)
   | _ ->
-      let df : (string, int) Hashtbl.t = Hashtbl.create 1024 in
-      let n = ref 0 in
-      List.iter
-        (fun e ->
-          n := !n + e.doc_count;
-          Hashtbl.iter
-            (fun tok p ->
-              let prev = Option.value ~default:0 (Hashtbl.find_opt df tok) in
-              Hashtbl.replace df tok (prev + p.len))
-            e.postings)
-        entries;
-      let counts = Hashtbl.fold (fun tok c acc -> (tok, c) :: acc) df [] in
-      let c = Util.Tfidf.of_counts ~n:!n counts in
+      let n = List.fold_left (fun acc e -> acc + e.doc_count) 0 entries in
+      let tfidf, parent, idf_changed =
+        let moved m = Option.map (fun t -> (m, t)) (moved_tokens m entries) in
+        match Option.bind memo moved with
+        | Some (m, tokens) ->
+            let c = Util.Tfidf.patch m.tfidf ~n (patched_df entries tokens) in
+            let changed =
+              if n <> Util.Tfidf.num_docs m.tfidf then None
+              else
+                Some
+                  (List.filter
+                     (fun tok ->
+                       Int64.bits_of_float (Util.Tfidf.idf c tok)
+                       <> Int64.bits_of_float (Util.Tfidf.idf m.tfidf tok))
+                     tokens)
+            in
+            if metrics then Obs.Metrics.incr m_df_patched;
+            (c, m.stamp, changed)
+        | None -> (Util.Tfidf.of_counts ~n (full_df entries), 0, None)
+      in
       Mutex.lock lock;
       incr stamp_counter;
       let stamp = !stamp_counter in
-      corpus_memo := Some (key, stamp, c);
+      let fresh = { uids; versions; stamp; tfidf; parent; idf_changed } in
+      memos :=
+        fresh
+        :: List.filteri
+             (fun i _ -> i < max_memos - 1)
+             (List.filter (fun m -> m.uids <> uids) !memos);
       Mutex.unlock lock;
       if metrics then Obs.Metrics.incr m_df_merges;
-      (stamp, c)
+      (stamp, tfidf)
 
-let norms entry ~stamp c =
+(* The one norm fold: [vectorize]'s op order over a slot's tf vector.
+   Dead slots carry [[||]], so they norm to 0.0. *)
+let slot_norm c tfs =
+  sqrt
+    (Array.fold_left
+       (fun acc (tok, tf) ->
+         let w = tf *. Util.Tfidf.idf c tok in
+         acc +. (w *. w))
+       0.0 tfs)
+
+(* The norms at [from] and the idf-changed tokens, when [stamp]'s corpus
+   was patched from [from] with [n] unchanged. *)
+let norm_patch entry ~stamp =
+  match entry.norms with
+  | None -> None
+  | Some (from, ns, mn) -> (
+      Mutex.lock lock;
+      let m = List.find_opt (fun m -> m.stamp = stamp) !memos in
+      Mutex.unlock lock;
+      match m with
+      | Some { parent; idf_changed = Some toks; _ } when parent = from ->
+          Some (ns, mn, toks)
+      | _ -> None)
+
+let norms ~metrics entry ~stamp c =
   match entry.norms with
   | Some (s, ns, mn) when s = stamp -> (ns, mn)
   | _ ->
-      (* Dead slots carry [[||]] tf vectors, so they norm to 0.0 and
-         stay out of the min below. *)
-      let ns =
-        Array.init entry.n_slots (fun id ->
-            sqrt
-              (Array.fold_left
-                 (fun acc (tok, tf) ->
-                   let w = tf *. Util.Tfidf.idf c tok in
-                   acc +. (w *. w))
-                 0.0
-                 entry.token_tfs.(id)))
-      in
-      let mn =
-        Array.fold_left
-          (fun acc n -> if n > 0.0 && n < acc then n else acc)
-          infinity ns
+      let ns, mn =
+        match norm_patch entry ~stamp with
+        | Some (ns, mn, toks)
+          when entry.dirty = []
+               && not (List.exists (Hashtbl.mem entry.postings) toks) ->
+            (* Nothing this entry holds moved: the norms carry over. *)
+            (ns, mn)
+        | Some (old, _, toks) ->
+            (* Copied, not updated in place: a concurrent probe may
+               still be reading [old]. *)
+            let ns = Array.make entry.n_slots 0.0 in
+            Array.blit old 0 ns 0 (min (Array.length old) entry.n_slots);
+            let renorm id = ns.(id) <- slot_norm c entry.token_tfs.(id) in
+            List.iter renorm entry.dirty;
+            List.iter
+              (fun tok ->
+                match Hashtbl.find_opt entry.postings tok with
+                | Some p ->
+                    for i = 0 to p.len - 1 do
+                      renorm p.ids.(i)
+                    done
+                | None -> ())
+              toks;
+            if metrics then Obs.Metrics.incr m_norms_patched;
+            (ns, min_norm ns)
+        | None ->
+            let ns =
+              Array.init entry.n_slots (fun id ->
+                  slot_norm c entry.token_tfs.(id))
+            in
+            (ns, min_norm ns)
       in
       entry.norms <- Some (stamp, ns, mn);
+      entry.dirty <- [];
       (ns, mn)
 
-let probe entry ~stamp c query_vec =
-  let ns, min_norm = norms entry ~stamp c in
+let probe ?(metrics = true) entry ~stamp c query_vec =
+  let ns, min_norm = norms ~metrics entry ~stamp c in
   let scores = Array.make (max 1 entry.n_slots) 0.0 in
   let seen = Array.make (max 1 entry.n_slots) false in
   let touched = ref [] in
@@ -410,6 +624,6 @@ let probe entry ~stamp c query_vec =
 let reset () =
   Mutex.lock lock;
   Hashtbl.reset store;
-  corpus_memo := None;
+  memos := [];
   tick := 0;
   Mutex.unlock lock

@@ -8,23 +8,41 @@
     entry is {e patched} from {!Relalg.Relation.deltas_since} — removed
     tuples are tombstoned in place (postings spliced, slot marked
     dead), inserted tuples take fresh ascending slots — counted in
-    [pdms.delta.patched_postings].  A full reindex of the relation
+    [pdms.delta.patched_postings].  Once dead slots outnumber live
+    ones the entry is compacted: live slots are renumbered densely in
+    ascending order, with postings, norms and dirty slots remapped
+    ([pdms.kwindex.compactions]).  A full reindex of the relation
     happens only on a cold entry, when the delta log was truncated past
     the cached version ([pdms.delta.rebuild_fallbacks]), or with
     [~incremental:false]; the bounded store evicts its
     least-recently-used entry on overflow instead of resetting
     wholesale.
 
+    Corpus statistics are patched too.  Each entry patch logs the
+    tokens it touched (keyed by version) and the slots it added or
+    killed.  The merged corpus is memoised per reachable uid set in a
+    small table; when only versions moved and every moved entry's log
+    reaches back to the memo, df is recomputed for the touched tokens
+    only ([pdms.kwindex.df_patched]).  When [n] (the reachable live
+    document count) is also unchanged, an entry whose norms belong to
+    the memo's previous corpus re-norms only its dirty slots and the
+    live slots posted under tokens whose idf changed bitwise
+    ([pdms.kwindex.norms_patched]).  A cold or rebuilt entry, a new
+    reachable set or a changed [n] takes the full df merge or the full
+    re-norm.  [pdms.kwindex.df_merges] counts every corpus recompute,
+    patched or full.
+
     Scoring through {!probe} is bit-identical to vectorizing every
     tuple and taking {!Util.Tfidf.cosine} against the query vector —
     term frequencies, norms, and partial dot products replay the exact
-    floating-point op order of the brute-force path, and patched
-    entries preserve live-doc enumeration order (tie-breaks included)
-    relative to a compacting rebuild (see the implementation header for
+    floating-point op order of the brute-force path, and patched or
+    compacted entries preserve live-doc enumeration order (tie-breaks
+    included) relative to a rebuild (see the implementation header for
     the argument).  This is what lets [revere search --no-index] and
     [--no-incremental] serve as byte-exact A/B baselines.
 
-    Instrumented with [pdms.kwindex.{builds,postings,df_merges}]
+    Instrumented with
+    [pdms.kwindex.{builds,postings,df_merges,df_patched,norms_patched,compactions}]
     counters and a [pdms.kwindex.posting_len] histogram; the search
     layer adds the per-query counters. *)
 
@@ -55,6 +73,11 @@ type entry = {
   mutable norms : (int * float array * float) option;
       (** (corpus stamp, per-slot norms, min positive norm) — managed
           by {!probe}; treat as private *)
+  mutable dirty : int list;
+      (** slots added or killed since [norms] was computed — private *)
+  mutable log : (int * string list) list;
+      (** newest first: (version a patch started from, tokens it
+          touched), the last few patches — private *)
   mutable last_used : int;  (** LRU clock — managed by {!get} *)
 }
 
@@ -87,19 +110,24 @@ val get :
 
 val corpus : ?metrics:bool -> entry list -> int * Util.Tfidf.corpus
 (** [corpus entries] merges the per-relation df counts of the given
-    (reachable) entries into a global corpus, memoised on the entries'
-    [(uid, version)] list — repeated searches over an unchanged
-    reachable set reuse it. Returns a stamp identifying the corpus;
-    per-entry norm caches are keyed on it. *)
+    (reachable) entries into a global corpus, memoised per reachable
+    uid list (a small table of the most recently computed): an unchanged set of
+    versions reuses the memo, moved versions whose patch logs reach
+    back to it patch the touched tokens' df, anything else merges in
+    full. Returns a stamp identifying the corpus; per-entry norm caches
+    are keyed on it. *)
 
 val probe :
+  ?metrics:bool ->
   entry -> stamp:int -> Util.Tfidf.corpus -> Util.Tfidf.vector -> probe
 (** [probe entry ~stamp corpus query_vec] accumulates partial dot
     products for the query's tokens over this relation's postings
     only. [query_vec] must be token-ascending (as
     {!Util.Tfidf.vectorize} output is). Computes and caches the
-    entry's norms for [stamp] on first use — safe to call from
-    parallel shards as long as each entry is probed by one shard. *)
+    entry's norms for [stamp] on first use — re-norming only dirty and
+    idf-changed slots when [stamp]'s corpus was patched from the one
+    the cached norms belong to — safe to call from parallel shards as
+    long as each entry is probed by one shard. *)
 
 val store_size : unit -> int
 (** Number of relations currently indexed (bounded by {!max_entries}). *)
@@ -108,4 +136,4 @@ val max_entries : int
 (** Store capacity; overflow evicts the least-recently-used entry. *)
 
 val reset : unit -> unit
-(** Drop every cached entry and the corpus memo (tests/benchmarks). *)
+(** Drop every cached entry and every corpus memo (tests/benchmarks). *)

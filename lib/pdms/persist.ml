@@ -90,10 +90,12 @@ let open_dir_exn ?exec dir =
 let catalog t = t.catalog
 let db t = t.db
 
-let tee t ~rel delta = ignore (Storage.Wal.append t.wal ~rel delta)
+let tee ?trace t ~rel delta =
+  ignore (Storage.Wal.append ?trace t.wal ~rel delta)
 
 let apply ?exec ?(sync = false) t u =
-  Updategram.apply ?exec ~tee:(tee t) t.db u;
+  let trace = Option.map (fun e -> e.Exec.trace) exec in
+  Updategram.apply ?exec ~tee:(tee ?trace t) t.db u;
   if sync then Storage.Wal.sync t.wal
 
 let snapshot t =

@@ -35,14 +35,17 @@ val db : t -> Relalg.Database.t
 (** The global database over the recovered catalog's stored relations
     (shared structure: mutating it mutates the catalog's peers). *)
 
-val tee : t -> rel:string -> Relalg.Relation.Delta.t -> unit
-(** The write-ahead hook: append one effective delta to the WAL.  Pass
-    as the [?tee] argument of {!Updategram.apply} or
-    {!Propagate.push}. *)
+val tee :
+  ?trace:Obs.Trace.t -> t -> rel:string -> Relalg.Relation.Delta.t -> unit
+(** The write-ahead hook: append one effective delta to the WAL, in a
+    [wal.append] span on [trace].  Pass as the [?tee] argument of
+    {!Updategram.apply} or {!Propagate.push}. *)
 
 val apply : ?exec:Exec.t -> ?sync:bool -> t -> Updategram.t -> unit
 (** {!Updategram.apply} against the recovered database with the WAL
-    tee wired in; [sync] (default [false]) fsyncs afterwards. *)
+    tee wired in, tracing the append on [exec]'s trace (a [wal.append]
+    span inside [delta.apply]); [sync] (default [false]) fsyncs
+    afterwards. *)
 
 val snapshot : t -> string
 (** Checkpoint the current catalog, stamped with the WAL sequence

@@ -22,14 +22,23 @@ let to_string = function
 
 let pp fmt v = Format.pp_print_string fmt (to_string v)
 
+let is_space = function
+  | ' ' | '\t' | '\n' | '\011' | '\012' | '\r' -> true
+  | _ -> false
+
+(* [float_of_string] goes through strtod, which skips leading
+   whitespace: without the guard, "\r9" would parse as [Float 9.] and
+   not render back to its text. *)
 let of_string s =
-  match int_of_string_opt s with
-  | Some i -> Int i
-  | None -> (
-      match float_of_string_opt s with
-      | Some f -> Float f
-      | None -> (
-          match bool_of_string_opt s with Some b -> Bool b | None -> Str s))
+  if s <> "" && is_space s.[0] then Str s
+  else
+    match int_of_string_opt s with
+    | Some i -> Int i
+    | None -> (
+        match float_of_string_opt s with
+        | Some f -> Float f
+        | None -> (
+            match bool_of_string_opt s with Some b -> Bool b | None -> Str s))
 
 let str s = Str s
 let int i = Int i

@@ -109,10 +109,18 @@ let parse_line line =
         | None -> Error "bad timestamp")
     | [] -> Error "missing timestamp"
   in
+  (* Objects are exported with [Value.to_string]; only text that renders
+     back unchanged is typed, so "08" or "+4" stays a string and
+     re-export reproduces the line. *)
+  let value =
+    match Relalg.Value.of_string obj with
+    | v when Relalg.Value.to_string v = obj -> v
+    | _ -> Relalg.Value.Str obj
+  in
   Ok
     ( subj,
       pred,
-      Relalg.Value.of_string obj,
+      value,
       Provenance.make ?author ~source_url ~timestamp () )
 
 let import text =

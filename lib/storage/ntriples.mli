@@ -14,6 +14,8 @@ val export : Triple_store.t -> string
 
 val import : string -> (Triple_store.t, string) result
 (** Inverse of [export]; blank lines and [#]-only comment lines are
-    skipped. *)
+    skipped.  An object is typed by {!Relalg.Value.of_string} only when
+    the typed value renders back to the same text, so re-exporting an
+    import reproduces it byte for byte. *)
 
 val import_exn : string -> Triple_store.t

@@ -26,6 +26,16 @@ let of_counts ~n counts =
   in
   { df; n }
 
+let patch c ~n counts =
+  let df =
+    List.fold_left
+      (fun acc (tok, k) ->
+        if k = 0 then Smap.remove tok acc
+        else Smap.add tok (float_of_int k) acc)
+      c.df counts
+  in
+  { df; n }
+
 let num_docs c = c.n
 
 let idf c tok =

@@ -15,6 +15,13 @@ val of_counts : n:int -> (string * int) list -> corpus
     deltas from an inverted index). Equivalent to [build] on any doc
     set with those frequencies: counts below 2^53 convert exactly. *)
 
+val patch : corpus -> n:int -> (string * int) list -> corpus
+(** [patch c ~n counts] is [c] over [n] documents with the listed
+    tokens' document frequencies replaced by the given exact counts (a
+    count of 0 drops the token).  When every count is the token's true
+    df, it equals [of_counts] over the full counts: same [n], same df
+    bits for every token. *)
+
 val num_docs : corpus -> int
 
 val idf : corpus -> string -> float

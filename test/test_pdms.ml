@@ -1043,6 +1043,174 @@ let prop_kwindex_incremental_matches_rebuild =
       P.Kwindex.reset ();
       incr = rebuilt && no_fallbacks)
 
+let metric name = Obs.Metrics.counter_value (Obs.Metrics.snapshot ()) name
+
+(* One effective single-row replacement: [n] is unchanged, the df of the
+   two rows' tokens moves. *)
+let replace_row rel old_row new_row =
+  Relalg.Relation.apply rel
+    (Relalg.Relation.Delta.make ~adds:[ new_row ] ~dels:[ old_row ] ())
+
+(* Patched corpus statistics must score exactly like the brute scan and
+   like a cold index after every step of a random stream that mixes
+   n-preserving replacements, n-changing inserts and deletes, and
+   fault-toggled reachable sets. *)
+let prop_kwindex_patched_stats_bit_exact =
+  QCheck.Test.make
+    ~name:"patched df/norms = brute = cold index, bit for bit, every step"
+    ~count:25
+    (QCheck.make QCheck.Gen.(int_bound 10_000) ~print:string_of_int)
+    (fun seed ->
+      (* [run cold] replays the same world from the seed; [cold] resets
+         the index before every search, the warm run keeps patching. *)
+      let run cold =
+        P.Kwindex.reset ();
+        let prng = Util.Prng.create (seed + 5) in
+        let n = 3 + (seed mod 3) in
+        let topology = P.Topology.generate ~prng P.Topology.Chain ~n in
+        let g =
+          Workload.Peers_gen.generate prng ~topology
+            ~tuples_per_peer:(3 + (seed mod 5))
+            ~with_join:(seed mod 2 = 0) ()
+        in
+        let catalog = g.Workload.Peers_gen.catalog in
+        let db = P.Catalog.global_db catalog in
+        let names =
+          Array.of_list (List.sort String.compare (Relalg.Database.names db))
+        in
+        let network = P.Distributed.network_of_catalog catalog ~latency_ms:1.0 in
+        let ops = Util.Prng.create (seed + 99) in
+        let queries =
+          Array.init 4 (fun i ->
+              if i = 0 then "word1 word2 word3"
+              else
+                Workload.Peers_gen.keyword_query g ops ^ " word"
+                ^ string_of_int i)
+        in
+        let fresh rel =
+          let arity = Relalg.Schema.arity (Relalg.Relation.schema rel) in
+          Array.init arity (fun _ ->
+              match (Util.Prng.int ops 3, Relalg.Relation.tuples rel) with
+              | 0, (_ :: _ as rows) ->
+                  let row = Util.Prng.pick ops rows in
+                  row.(Util.Prng.int ops (Array.length row))
+              | _ -> vs (Printf.sprintf "word%d" (Util.Prng.int ops 8)))
+        in
+        let steps = ref [] and agrees = ref true in
+        for i = 0 to 14 do
+          let rel = Relalg.Database.find db (Util.Prng.pick_arr ops names) in
+          (match (Util.Prng.int ops 7, Relalg.Relation.tuples rel) with
+          | (0 | 1), (_ :: _ as rows) ->
+              replace_row rel (Util.Prng.pick ops rows) (fresh rel)
+          | 2, (_ :: _ as rows) ->
+              (* Same tokens in a new slot: no df moves, only the new
+                 slot needs a norm. *)
+              let row = Util.Prng.pick ops rows in
+              replace_row rel row (Array.of_list (List.rev (Array.to_list row)))
+          | 3, (_ :: _ as rows) ->
+              Relalg.Relation.apply rel
+                (Relalg.Relation.Delta.remove (Util.Prng.pick ops rows))
+          | 4, _ ->
+              let peer = Printf.sprintf "p%d" (Util.Prng.int ops n) in
+              if P.Network.Fault.is_down network peer then
+                P.Network.Fault.heal_peer network peer
+              else P.Network.Fault.fail_peer network peer
+          | _ -> insert rel (fresh rel));
+          let query = queries.(i mod Array.length queries) in
+          let search exec =
+            if cold then P.Kwindex.reset ();
+            List.map hit_key
+              (P.Keyword.search ~limit:6 ~exec ~network catalog query)
+          in
+          let hits = search (P.Exec.make ~jobs:(1 + (i mod 2)) ()) in
+          if not cold then
+            agrees := !agrees && hits = search (P.Exec.make ~index:false ());
+          steps := hits :: !steps
+        done;
+        (!steps, !agrees)
+      in
+      let warm, agrees = run false in
+      let cold, _ = run true in
+      P.Kwindex.reset ();
+      agrees && warm = cold)
+
+(* A long run of n-preserving replacements leaves tombstones behind;
+   compaction keeps the slot count bounded without changing a single
+   hit. *)
+let test_kwindex_compaction () =
+  let transcript incremental =
+    P.Kwindex.reset ();
+    let catalog = P.Catalog.create () in
+    let pa = P.Peer.create ~name:"pa" ~schema:[ ("r", [ "x"; "y" ]) ] in
+    P.Catalog.add_peer catalog pa;
+    let r = P.Catalog.store_identity catalog pa ~rel:"r" in
+    let row i =
+      [| vs (Printf.sprintf "w%d" (i mod 7)); vs (Printf.sprintf "row%d" i) |]
+    in
+    for i = 0 to 19 do
+      insert r (row i)
+    done;
+    let name = List.hd (Relalg.Database.names (P.Catalog.global_db catalog)) in
+    let exec = P.Exec.make ~incremental () in
+    let out = ref [] and max_slots = ref 0 in
+    for i = 20 to 2019 do
+      replace_row r (row (i - 20)) (row i);
+      let hits = P.Keyword.search ~limit:5 ~exec catalog "w3 w5" in
+      out := List.rev_append (List.map hit_key hits) !out;
+      let e, _ = P.Kwindex.get ~rel_name:name r in
+      max_slots := max !max_slots e.P.Kwindex.n_slots
+    done;
+    (List.rev !out, !max_slots)
+  in
+  let c0 = metric "pdms.kwindex.compactions" in
+  let patched, slots = transcript true in
+  check_b "compacted along the way" true
+    (metric "pdms.kwindex.compactions" > c0);
+  check_b "slot count stays bounded" true (slots <= 40);
+  let rebuilt, _ = transcript false in
+  check_b "transcript equals a rebuild" true (patched = rebuilt);
+  P.Kwindex.reset ()
+
+(* The corpus memo holds one corpus per reachable set: two catalogs
+   searched alternately both keep patching instead of evicting each
+   other's corpus. *)
+let test_kwindex_memo_per_reachable_set () =
+  P.Kwindex.reset ();
+  let world seed =
+    let prng = Util.Prng.create seed in
+    let topology = P.Topology.generate ~prng P.Topology.Chain ~n:3 in
+    let g = Workload.Peers_gen.generate prng ~topology ~tuples_per_peer:6 () in
+    let catalog = g.Workload.Peers_gen.catalog in
+    let db = P.Catalog.global_db catalog in
+    (catalog, db, Workload.Peers_gen.keyword_query g prng)
+  in
+  let worlds = [ world 1; world 2 ] in
+  let search (catalog, _, query) exec =
+    List.map hit_key (P.Keyword.search ~limit:5 ~exec catalog query)
+  in
+  List.iter (fun w -> ignore (search w P.Exec.default)) worlds;
+  let df0 = metric "pdms.kwindex.df_patched"
+  and norms0 = metric "pdms.kwindex.norms_patched"
+  and merges0 = metric "pdms.kwindex.df_merges" in
+  for i = 1 to 5 do
+    List.iter
+      (fun ((_, db, _) as w) ->
+        let rel = Relalg.Database.find db (List.hd (Relalg.Database.names db)) in
+        let old_row = List.hd (Relalg.Relation.tuples rel) in
+        replace_row rel old_row
+          (Array.map (fun _ -> vs (Printf.sprintf "fresh%d" i)) old_row);
+        check_b "patched search = brute search" true
+          (search w P.Exec.default = search w (P.Exec.make ~index:false ())))
+      worlds
+  done;
+  check_i "every post-update corpus was patched" 10
+    (metric "pdms.kwindex.df_patched" - df0);
+  check_i "df_merges counts patched recomputes too" 10
+    (metric "pdms.kwindex.df_merges" - merges0);
+  check_b "norms were patched" true
+    (metric "pdms.kwindex.norms_patched" > norms0);
+  P.Kwindex.reset ()
+
 (* Exceeding the bounded delta log forces one honest rebuild, counted
    in pdms.delta.rebuild_fallbacks; afterwards small deltas patch
    again. *)
@@ -1532,6 +1700,27 @@ let test_persist_init_apply_reopen () =
   P.Persist.close t';
   check_b "fsck passes" true (P.Persist.fsck_ok (P.Persist.fsck dir))
 
+(* The WAL append is traced inside the update's own span tree. *)
+let test_persist_apply_traces_wal_append () =
+  let _, t, _ = six_university_persist 13 in
+  let sink = Obs.Sink.memory () in
+  let exec = P.Exec.make ~trace:(Obs.Trace.create sink) () in
+  let db = P.Persist.db t in
+  let rel = List.hd (List.sort String.compare (Relalg.Database.names db)) in
+  let arity =
+    Relalg.Schema.arity (Relalg.Relation.schema (Relalg.Database.find db rel))
+  in
+  let row = Array.init arity (fun j -> vs (Printf.sprintf "traced %d" j)) in
+  P.Persist.apply ~exec ~sync:true t
+    (P.Updategram.make ~rel ~inserts:[ row ] ());
+  P.Persist.close t;
+  match Obs.Sink.spans sink with
+  | [ root ] ->
+      Alcotest.(check (list string))
+        "append nested in the update" [ "delta.apply"; "wal.append" ]
+        (Obs.Span.names root)
+  | spans -> Alcotest.failf "expected one root span, got %d" (List.length spans)
+
 let test_persist_fsck_detects_damage () =
   let dir, t, prng = six_university_persist 12 in
   P.Persist.apply ~sync:true t (random_gram prng (P.Persist.db t) 1);
@@ -2019,10 +2208,15 @@ let () =
            test_kwindex_incremental;
          Alcotest.test_case "lru eviction" `Quick test_kwindex_lru_eviction;
          Alcotest.test_case "truncation falls back to rebuild" `Quick
-           test_kwindex_truncation_fallback ]
+           test_kwindex_truncation_fallback;
+         Alcotest.test_case "compaction keeps hits" `Quick
+           test_kwindex_compaction;
+         Alcotest.test_case "corpus memo per reachable set" `Quick
+           test_kwindex_memo_per_reachable_set ]
        @ qc
            [ prop_indexed_matches_brute;
-             prop_kwindex_incremental_matches_rebuild ]);
+             prop_kwindex_incremental_matches_rebuild;
+             prop_kwindex_patched_stats_bit_exact ]);
       ("distributed",
        [ Alcotest.test_case "owner parsing" `Quick test_distributed_owner_parsing;
          Alcotest.test_case "beats central" `Quick test_distributed_beats_central;
@@ -2057,6 +2251,8 @@ let () =
       ("persist",
        [ Alcotest.test_case "init, apply, reopen" `Quick
            test_persist_init_apply_reopen;
+         Alcotest.test_case "apply traces the wal append" `Quick
+           test_persist_apply_traces_wal_append;
          Alcotest.test_case "fsck detects damage" `Quick
            test_persist_fsck_detects_damage;
          Alcotest.test_case "kill-point sweep" `Quick

@@ -30,6 +30,17 @@ let test_value_parse () =
   check_b "bool" true (Value.equal (Value.of_string "true") (Value.Bool true));
   check_b "string" true (Value.equal (Value.of_string "cse444") (v_s "cse444"))
 
+(* strtod skips leading whitespace; of_string must not, or whitespace-led
+   text stops rendering back to itself. *)
+let test_value_parse_leading_space () =
+  List.iter
+    (fun s ->
+      check_b (Printf.sprintf "%S stays a string" s) true
+        (Value.equal (Value.of_string s) (v_s s));
+      check_b (Printf.sprintf "%S renders back" s) true
+        (Value.to_string (Value.of_string s) = s))
+    [ "\r9"; " 9"; "\t1.5"; "\n0x10"; "\0119"; "\0129"; " true" ]
+
 (* ------------------------------------------------------------------ *)
 (* Schema *)
 
@@ -392,7 +403,10 @@ let prop_stats_patch_equals_rescan =
 let () =
   let qc = List.map QCheck_alcotest.to_alcotest in
   Alcotest.run "relalg"
-    [ ("value", [ Alcotest.test_case "parse" `Quick test_value_parse ]);
+    [ ( "value",
+        [ Alcotest.test_case "parse" `Quick test_value_parse;
+          Alcotest.test_case "parse keeps whitespace-led text" `Quick
+            test_value_parse_leading_space ] );
       ("schema",
        [ Alcotest.test_case "basics" `Quick test_schema_basics;
          Alcotest.test_case "duplicate attr" `Quick test_schema_duplicate_attr ]);

@@ -127,6 +127,13 @@ let test_ntriples_roundtrip () =
   Storage.Triple_store.add t ~subj:"tricky" ~pred:"note"
     ~obj:(vs "has \"quotes\" and\nnewlines \\ too")
     ~prov:(Storage.Provenance.make ~author:"bob smith" ~source_url:"http://x" ~timestamp:9 ());
+  (* Number-like text that does not render back as itself stays a
+     string on import. *)
+  List.iter
+    (fun o ->
+      Storage.Triple_store.add t ~subj:"numberish" ~pred:"o" ~obj:(vs o)
+        ~prov:(Storage.Provenance.make ~source_url:"http://x" ~timestamp:1 ()))
+    [ "08"; "+4"; "_1"; "9."; "\r9"; " 9" ];
   let text = Storage.Ntriples.export t in
   let t' = Storage.Ntriples.import_exn text in
   check_i "same size" (Storage.Triple_store.size t) (Storage.Triple_store.size t');
@@ -136,7 +143,12 @@ let test_ntriples_roundtrip () =
   | [ tr ] ->
       check_b "author" true (tr.Storage.Triple_store.prov.Storage.Provenance.author = Some "bob smith");
       check_i "timestamp" 9 tr.Storage.Triple_store.prov.Storage.Provenance.timestamp
-  | _ -> Alcotest.fail "tricky triple lost")
+  | _ -> Alcotest.fail "tricky triple lost");
+  check_b "canonical numbers are still typed" true
+    (List.exists
+       (fun tr -> tr.Storage.Triple_store.obj = Relalg.Value.Int 42)
+       (Storage.Triple_store.select ~subj:"n" (Storage.Ntriples.import_exn
+          "<n> <p> \"42\" . # <http://x> 1\n")))
 
 let test_ntriples_import_errors () =
   check_b "garbage rejected" true
