@@ -92,7 +92,7 @@ let e2 () =
     (fun (name, pruning) ->
       let ms, result =
         time_ms (fun () ->
-            Pdms.Answer.answer ~exec:(Pdms.Exec.with_pruning pruning)
+            Pdms.Answer.answer ~exec:(Pdms.Exec.make ~pruning ())
               g.Workload.Peers_gen.catalog query)
       in
       let stats = result.Pdms.Answer.outcome.Pdms.Reformulate.stats in
@@ -892,7 +892,7 @@ let e13_configs configs () =
         (fun jobs ->
           let ms, answers =
             wall_ms (fun () ->
-                Pdms.Answer.eval_union ~exec:(Pdms.Exec.with_jobs jobs) db
+                Pdms.Answer.eval_union ~exec:(Pdms.Exec.make ~jobs ()) db
                   rewritings)
           in
           if jobs = 1 then baseline := ms;
@@ -979,7 +979,7 @@ let e14_sweep_configs configs =
         }
       in
       let outcome =
-        Pdms.Reformulate.reformulate ~exec:(Pdms.Exec.with_pruning pruning)
+        Pdms.Reformulate.reformulate ~exec:(Pdms.Exec.make ~pruning ())
           g.Workload.Peers_gen.catalog
           query
       in
@@ -996,7 +996,7 @@ let e14_sweep_configs configs =
           let ms, kept =
             wall_ms (fun () ->
                 Pdms.Reformulate.subsumption_sweep
-                  ~exec:(Pdms.Exec.with_jobs jobs) raw)
+                  ~exec:(Pdms.Exec.make ~jobs ()) raw)
           in
           let rendered = List.map Cq.Query.to_string kept in
           if jobs = 1 then begin
@@ -1130,7 +1130,7 @@ let e15_sweep_input ~peers ~cap =
       max_rewritings = cap;
     }
   in
-  (Pdms.Reformulate.reformulate ~exec:(Pdms.Exec.with_pruning pruning)
+  (Pdms.Reformulate.reformulate ~exec:(Pdms.Exec.make ~pruning ())
      g.Workload.Peers_gen.catalog query)
     .Pdms.Reformulate.rewritings
 
@@ -1291,9 +1291,11 @@ let e16 () =
    three-atom chain query unfolds to one rewriting per peer triple, so
    sibling rewritings that differ only in their last atom share the
    whole two-atom course-instr join as a trie prefix, and the trie
-   computes each shared join once. Guards: answers byte-identical to
-   the per-rewriting path at every point, bindings actually reused, and
-   a minimum speedup at the config's guard point (exit 1 otherwise). *)
+   computes each shared join once. The baseline is
+   Reference.eval_union. Guards: answers byte-identical to the
+   per-rewriting reference at every point, bindings actually reused,
+   and a minimum speedup at the config's guard point (exit 1
+   otherwise). *)
 
 let e17_rows rel =
   Relalg.Relation.tuples rel
@@ -1326,7 +1328,6 @@ let e17_configs ~repeats configs () =
          or reuses the other's index builds. *)
       let db = Pdms.Catalog.global_db_snapshot g.Workload.Peers_gen.catalog in
       Relalg.Database.freeze db;
-      let nobatch_exec = Pdms.Exec.make ~batch:false () in
       let best f =
         let rec go best_ms last = function
           | 0 -> (best_ms, Option.get last)
@@ -1337,7 +1338,7 @@ let e17_configs ~repeats configs () =
         go infinity None (max 1 repeats)
       in
       let nobatch_ms, nobatch_out =
-        best (fun () -> Pdms.Answer.eval_union ~exec:nobatch_exec db rewritings)
+        best (fun () -> Reference.eval_union db rewritings)
       in
       let before = Obs.Metrics.snapshot () in
       let batch_ms, batch_out =
@@ -1354,7 +1355,7 @@ let e17_configs ~repeats configs () =
       let reused = delta "cq.plan.bindings_reused" in
       if e17_rows batch_out <> e17_rows nobatch_out then begin
         Printf.printf
-          "E17 FAILED: batch answers differ from --no-batch at %s n=%d\n"
+          "E17 FAILED: batch answers differ from the reference at %s n=%d\n"
           topo_name n;
         exit 1
       end;
@@ -1400,15 +1401,15 @@ let e17 () =
       ("mesh2", Pdms.Topology.Mesh 2, 48, 48, Some 2.0) ]
     ()
 
-(* E18: inverted-index keyword search — Kwindex vs --no-index brute
-   force over generated peer workloads. Repeated (warm) searches are
-   the regime the index targets: index entries, the merged df corpus,
-   and per-tuple norms are all version-guarded caches, so a warm query
-   touches only its tokens' postings, while the brute path rebuilds the
-   corpus and re-vectorizes every tuple per call. Guards: hit lists
-   byte-identical (scores, order, tie-breaks) between the two paths and
-   across every jobs value, and a minimum warm speedup at the config's
-   guard point (exit 1 otherwise). *)
+(* E18: inverted-index keyword search — Kwindex vs the brute-force
+   Reference.search over generated peer workloads. Repeated (warm)
+   searches are the regime the index targets: index entries, the merged
+   df corpus, and per-tuple norms are all version-guarded caches, so a
+   warm query touches only its tokens' postings, while the brute path
+   rebuilds the corpus and re-vectorizes every tuple per call. Guards:
+   hit lists byte-identical (scores, order, tie-breaks) between the two
+   paths and across every jobs value, and a minimum warm speedup at the
+   config's guard point (exit 1 otherwise). *)
 
 let e18_hits hits =
   List.map
@@ -1421,8 +1422,8 @@ let e18_hits hits =
 
 let e18_configs ~repeats ~queries:nq configs () =
   header "E18"
-    "inverted-index keyword search: Kwindex vs --no-index (warm repeated \
-     queries, jobs=1)";
+    "inverted-index keyword search: Kwindex vs reference brute force (warm \
+     repeated queries, jobs=1)";
   let table =
     T.create
       [ "peers"; "tuples"; "docs"; "queries"; "candidates"; "skipped";
@@ -1448,19 +1449,13 @@ let e18_configs ~repeats ~queries:nq configs () =
          (this also warms the version-guarded caches for the timing). *)
       List.iter
         (fun query ->
-          let reference =
-            e18_hits
-              (Pdms.Keyword.search
-                 ~exec:(Pdms.Exec.make ~index:false ())
-                 catalog query)
-          in
+          let reference = e18_hits (Reference.search catalog query) in
           List.iter
             (fun jobs ->
               let brute =
                 e18_hits
-                  (Pdms.Keyword.search
-                     ~exec:(Pdms.Exec.make ~index:false ~jobs ())
-                     catalog query)
+                  (Reference.search ~exec:(Pdms.Exec.make ~jobs ()) catalog
+                     query)
               in
               let indexed =
                 e18_hits
@@ -1476,10 +1471,8 @@ let e18_configs ~repeats ~queries:nq configs () =
               end)
             jobs_list)
         queries;
-      let run exec =
-        List.iter
-          (fun query -> ignore (Pdms.Keyword.search ~exec catalog query))
-          queries
+      let run search =
+        List.iter (fun query -> ignore (search catalog query)) queries
       in
       let best f =
         let rec go best_ms = function
@@ -1491,10 +1484,10 @@ let e18_configs ~repeats ~queries:nq configs () =
         go infinity (max 1 repeats)
       in
       let brute_ms =
-        best (fun () -> run (Pdms.Exec.make ~index:false ()))
+        best (fun () -> run Reference.search)
       in
       let before = Obs.Metrics.snapshot () in
-      let indexed_ms = best (fun () -> run Pdms.Exec.default) in
+      let indexed_ms = best (fun () -> run Pdms.Keyword.search) in
       let after = Obs.Metrics.snapshot () in
       (* Per query-batch repeat. *)
       let delta name =
@@ -1543,19 +1536,19 @@ let e18 () =
 
 (* ------------------------------------------------------------------ *)
 (* E19: live updates — delta-patched maintenance of the inverted index,
-   statistics and result caches vs the --no-incremental version-guarded
-   rebuild discipline.  Each round pushes a small updategram through
-   Updategram.apply and then brings the derived structures current: the
-   touched relation's index entry (Kwindex patches its postings vs a
-   full reindex), Stats.of_relation (delta fold vs rescan), and a
-   cached answer whose pinned constant can never unify with the changed
-   tuples (the delta probe keeps the entry; the baseline drops it and
-   pays a full re-answer every round).  Both modes replay the identical
-   update stream on identically generated worlds.  Guards: search hit
-   lists and query answers byte-identical between the modes for jobs in
-   {1,2,4}, zero pdms.delta.rebuild_fallbacks in the incremental runs,
-   and a minimum speedup at the config's guard point (exit 1
-   otherwise). *)
+   statistics and result caches vs rebuilding them from scratch.  Each
+   round pushes a small updategram through Updategram.apply and then
+   brings the derived structures current: the touched relation's index
+   entry (Kwindex patches its postings vs Reference.rebuild_index),
+   its statistics (delta fold vs Reference.rebuild_stats), and a cached
+   answer whose pinned constant can never unify with the changed tuples
+   (the delta probe keeps the entry; the baseline's wildcard
+   invalidation drops it and pays a full re-answer every round).  Both
+   modes replay the identical update stream on identically generated
+   worlds.  Guards: search hit lists and query answers byte-identical
+   between the modes for jobs in {1,2,4}, zero
+   pdms.delta.rebuild_fallbacks in the incremental runs, and a minimum
+   speedup at the config's guard point (exit 1 otherwise). *)
 
 let e19_world n tuples_per_peer =
   let prng = Util.Prng.create (1900 + n + tuples_per_peer) in
@@ -1601,7 +1594,7 @@ let e19_fallbacks () =
 let e19_configs ~rounds configs () =
   header "E19"
     "live updates: delta-patched index/stats/cache maintenance vs \
-     --no-incremental version-guarded rebuild (round-robin updategrams)";
+     reference rebuild (round-robin updategrams)";
   let table =
     T.create
       [ "peers"; "tuples"; "rounds"; "patched"; "stats_patched";
@@ -1618,35 +1611,37 @@ let e19_configs ~rounds configs () =
         let catalog = g.Workload.Peers_gen.catalog in
         let db = Pdms.Catalog.global_db catalog in
         let names = List.sort String.compare (Relalg.Database.names db) in
-        let exec = Pdms.Exec.make ~incremental () in
         let cache = Pdms.Cache.create catalog () in
         (* Warm every derived structure to the pre-update state. *)
-        List.iter (fun q -> ignore (Pdms.Keyword.search ~exec catalog q)) queries;
+        List.iter (fun q -> ignore (Pdms.Keyword.search catalog q)) queries;
         List.iter
           (fun nm ->
-            ignore
-              (Relalg.Stats.of_relation ~incremental
-                 (Relalg.Database.find db nm)))
+            ignore (Relalg.Stats.of_relation (Relalg.Database.find db nm)))
           names;
-        ignore (Pdms.Cache.answer ~exec cache pinned);
-        (queries, pinned, catalog, db, names, exec, cache)
+        ignore (Pdms.Cache.answer cache pinned);
+        (queries, pinned, catalog, db, names, incremental, cache)
       in
       (* One maintenance round: apply the gram, then bring every derived
          structure current for the touched relation.  This is the timed
          unit — query *serving* (probing, corpus merge, ranking) costs
          the same in both modes and is exercised untimed below. *)
-      let round (_, pinned, _, db, names, exec, cache) i =
+      let round (_, pinned, _, db, names, incremental, cache) i =
         let u = e19_gram db names i in
-        let rel = Relalg.Database.find db u.Pdms.Updategram.rel in
-        Pdms.Updategram.apply ~exec db u;
-        ignore (Pdms.Cache.invalidate ~exec cache u);
-        ignore
-          (Pdms.Kwindex.get ~incremental:exec.Pdms.Exec.incremental
-             ~rel_name:u.Pdms.Updategram.rel rel);
-        ignore
-          (Relalg.Stats.of_relation ~incremental:exec.Pdms.Exec.incremental
-             rel);
-        ignore (Pdms.Cache.answer ~exec cache pinned)
+        let rel_name = u.Pdms.Updategram.rel in
+        let rel = Relalg.Database.find db rel_name in
+        Pdms.Updategram.apply db u;
+        if incremental then begin
+          ignore (Pdms.Cache.invalidate cache u);
+          ignore (Pdms.Kwindex.get ~rel_name rel);
+          ignore (Relalg.Stats.of_relation rel)
+        end
+        else begin
+          ignore
+            (Pdms.Cache.invalidate cache (Pdms.Updategram.make ~rel:rel_name ()));
+          ignore (Reference.rebuild_index ~rel_name rel);
+          ignore (Reference.rebuild_stats rel)
+        end;
+        ignore (Pdms.Cache.answer cache pinned)
       in
       (* Byte-identity pass: replay the stream in both modes, transcribing
          rendered hits (jobs in {1,2,4}) and query answers every round. *)
@@ -1657,7 +1652,7 @@ let e19_configs ~rounds configs () =
           round world i;
           List.iter
             (fun jobs ->
-              let e = Pdms.Exec.make ~incremental ~jobs () in
+              let e = Pdms.Exec.make ~jobs () in
               let hits =
                 Pdms.Keyword.search ~limit:10 ~exec:e catalog
                   (List.nth queries (i mod List.length queries))
@@ -1674,7 +1669,7 @@ let e19_configs ~rounds configs () =
           in
           List.iter
             (fun jobs ->
-              let e = Pdms.Exec.make ~incremental ~jobs () in
+              let e = Pdms.Exec.make ~jobs () in
               let answers =
                 Pdms.Answer.answers_list (Pdms.Answer.answer ~exec:e catalog aq)
               in
@@ -1774,7 +1769,7 @@ let e20_configs ~rounds ~suffixes configs () =
   header "E20"
     "durability: WAL append overhead on the E19 maintenance sweep, and \
      recovery time vs WAL suffix length";
-  let exec = Pdms.Exec.make ~incremental:true () in
+  let exec = Pdms.Exec.default in
   (* One E19-style maintenance round, with the gram applied through
      [apply_gram] — the only difference between the modes is whether
      that call tees the effective delta into the WAL first. *)
@@ -1783,9 +1778,8 @@ let e20_configs ~rounds ~suffixes configs () =
     let rel = Relalg.Database.find db u.Pdms.Updategram.rel in
     apply_gram u;
     ignore (Pdms.Cache.invalidate ~exec cache u);
-    ignore
-      (Pdms.Kwindex.get ~incremental:true ~rel_name:u.Pdms.Updategram.rel rel);
-    ignore (Relalg.Stats.of_relation ~incremental:true rel);
+    ignore (Pdms.Kwindex.get ~rel_name:u.Pdms.Updategram.rel rel);
+    ignore (Relalg.Stats.of_relation rel);
     ignore (Pdms.Cache.answer ~exec cache (pinned : Cq.Query.t));
     ignore (catalog : Pdms.Catalog.t)
   in
@@ -1793,9 +1787,7 @@ let e20_configs ~rounds ~suffixes configs () =
     List.iter (fun q -> ignore (Pdms.Keyword.search ~exec catalog q)) queries;
     List.iter
       (fun nm ->
-        ignore
-          (Relalg.Stats.of_relation ~incremental:true
-             (Relalg.Database.find db nm)))
+        ignore (Relalg.Stats.of_relation (Relalg.Database.find db nm)))
       names;
     ignore (Pdms.Cache.answer ~exec cache pinned)
   in

@@ -213,10 +213,3 @@ let run_union_into out db qs =
         (run_bindings db q))
     qs;
   !attempts
-
-let run_union db = function
-  | [] -> invalid_arg "Eval.run_union: empty union"
-  | q0 :: _ as qs ->
-      let out = Relalg.Relation.create (head_schema q0) in
-      ignore (run_union_into out db qs : int);
-      out

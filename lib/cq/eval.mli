@@ -38,18 +38,13 @@ val add_distinct : Relalg.Relation.t -> Relalg.Relation.tuple -> unit
 val run : Relalg.Database.t -> Query.t -> Relalg.Relation.t
 (** Distinct head tuples. Raises [Invalid_argument] on unsafe queries. *)
 
-val run_union : Relalg.Database.t -> Query.t list -> Relalg.Relation.t
-(** Distinct union of the answers of a UCQ (all heads must share arity;
-    the first query's head shapes the schema). Raises on an empty list. *)
-
 val run_union_into : Relalg.Relation.t -> Relalg.Database.t -> Query.t list -> int
-(** Evaluate every member and {!add_distinct} its head tuples into
-    [out]: one shared hash-backed dedup set across the whole union,
-    instead of a per-member relation. Useful for merging the partial
-    results of sharded union evaluation. Returns the number of head
-    tuples produced {e before} deduplication (the union's dedup rate is
-    this minus the cardinality gained by [out]) — pre-dedup counts are
-    independent of sharding, so callers can report them for any [jobs]. *)
+(** Evaluate every member on its own and {!add_distinct} its head tuples
+    into [out]: one shared hash-backed dedup set across the whole union,
+    instead of a per-member relation — the per-rewriting evaluation
+    {!Plan} is checked against. Returns the number of head tuples
+    produced {e before} deduplication (the union's dedup rate is this
+    minus the cardinality gained by [out]). *)
 
 val head_schema : Query.t -> Relalg.Schema.t
 (** The output schema [run] would build for the query's head. *)

@@ -13,9 +13,10 @@ val answer : ?exec:Exec.t -> Catalog.t -> Cq.Query.t -> result
 (** [exec] ({!Exec.default} when omitted) carries pruning, the domain
     count and the observability hooks. [exec.jobs > 1] parallelises both
     the reformulation's final subsumption sweep
-    ({!Reformulate.reformulate}) and the union evaluation: shards of
-    rewritings are evaluated over a frozen snapshot of the global
-    database and merged through a shared dedup set. The rewriting list
+    ({!Reformulate.reformulate}) and the union evaluation: the
+    {!Cq.Plan} trie walk is sharded across top-level branches over a
+    frozen snapshot of the global database, and the partial answers
+    merge through a shared dedup set. The rewriting list
     and the answer {e set} are identical for every [exec.jobs]. Opens an
     ["answer"] span on [exec.trace] with ["reformulate"] (and its
     ["sweep"]) and ["eval"] children; records [pdms.answer.*] metrics
@@ -23,7 +24,9 @@ val answer : ?exec:Exec.t -> Catalog.t -> Cq.Query.t -> result
 
 val eval_union :
   ?exec:Exec.t -> Relalg.Database.t -> Cq.Query.t list -> Relalg.Relation.t
-(** Evaluate a union of rewritings over [db], optionally in parallel.
+(** Evaluate a union of rewritings over [db] through one shared-prefix
+    {!Cq.Plan} trie (a single rewriting is a one-leaf trie), optionally
+    in parallel.
     With [exec.jobs > 1] the database is frozen
     ({!Relalg.Database.freeze}) and must not be mutated concurrently.
     Raises on an empty list. Opens an ["eval"] span and records

@@ -57,15 +57,17 @@ val execute :
     With no injected faults the answer set is identical to
     {!Answer.answer}'s and [report.complete] is [true].
 
-    [exec.jobs] parallelises the reformulation's final subsumption sweep
-    and the per-rewriting evaluation; rewritings, plans, costs and retry
-    schedules are unaffected (transfers are sequential with a
-    constant-seeded jitter stream). Opens a ["distributed.execute"] span
-    (children ["reformulate"], ["eval"], ["plan"], ["transfer"]) and
-    records [pdms.distributed.*] metrics — chosen vs. rejected candidate
-    sites, per-site fetch/ship cost histograms, and
-    [pdms.distributed.partial] / [pdms.distributed.rewritings_dropped]
-    when the answer is incomplete. *)
+    Evaluation runs the rewritings through one {!Cq.Plan} trie whose
+    per-leaf outputs size the shipments. [exec.jobs] parallelises the
+    reformulation's final subsumption sweep and the trie walk;
+    rewritings, plans, costs and retry schedules are unaffected
+    (transfers are sequential with a constant-seeded jitter stream).
+    Opens a ["distributed.execute"] span (children ["reformulate"],
+    ["eval"], ["plan"], ["transfer"]) and records [pdms.distributed.*]
+    metrics — chosen vs. rejected candidate sites, per-site fetch/ship
+    cost histograms, and [pdms.distributed.partial] /
+    [pdms.distributed.rewritings_dropped] when the answer is
+    incomplete. *)
 
 val report_to_string : completeness -> string
 (** One-line rendering for CLIs and logs. *)

@@ -75,24 +75,6 @@ type t = {
   retry : retry;
       (** retry/timeout/backoff policy for simulated network sends
           (used by {!Distributed.execute}) *)
-  batch : bool;
-      (** evaluate the rewriting union through the shared-prefix trie
-          of {!Cq.Plan} (default [true]); [false] evaluates every
-          rewriting independently — the [--no-batch] A/B escape hatch.
-          The answer set is identical either way. *)
-  index : bool;
-      (** answer keyword searches from the {!Kwindex} inverted index
-          (default [true]); [false] re-vectorizes and scores every
-          tuple per query — the [--no-index] A/B escape hatch. Hit
-          lists are identical either way, tie-breaks included. *)
-  incremental : bool;
-      (** maintain derived structures (inverted index, statistics,
-          answer cache, replicas) by folding in retained
-          {!Relalg.Relation.Delta.t}s rather than rebuilding or
-          invalidating on every version bump (default [true]);
-          [false] restores the version-guarded rebuild discipline —
-          the [--no-incremental] A/B escape hatch.  Search results,
-          statistics, and replica contents are identical either way. *)
   trace : Obs.Trace.t;
       (** span collection; {!Obs.Trace.null} (the default) costs one
           branch per span site *)
@@ -102,31 +84,9 @@ type t = {
 }
 
 val default : t
-(** [jobs = 1], {!default_pruning}, {!default_retry}, batch evaluation
-    on, no tracing, metrics on. *)
+(** [jobs = 1], {!default_pruning}, {!default_retry}, no tracing,
+    metrics on. *)
 
 val make :
-  ?jobs:int -> ?pruning:pruning -> ?retry:retry -> ?batch:bool ->
-  ?index:bool -> ?incremental:bool -> ?trace:Obs.Trace.t ->
+  ?jobs:int -> ?pruning:pruning -> ?retry:retry -> ?trace:Obs.Trace.t ->
   ?metrics:bool -> unit -> t
-
-val with_jobs : int -> t
-(** [with_jobs n] is {!default} with [jobs = n]. *)
-
-val with_pruning : pruning -> t
-(** [with_pruning p] is {!default} with [pruning = p]. *)
-
-val with_retry : retry -> t
-(** [with_retry r] is {!default} with [retry = r]. *)
-
-val with_batch : bool -> t
-(** [with_batch b] is {!default} with [batch = b]. *)
-
-val with_index : bool -> t
-(** [with_index b] is {!default} with [index = b]. *)
-
-val with_incremental : bool -> t
-(** [with_incremental b] is {!default} with [incremental = b]. *)
-
-val with_trace : Obs.Trace.t -> t
-(** [with_trace tr] is {!default} with [trace = tr]. *)

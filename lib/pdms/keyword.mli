@@ -21,15 +21,14 @@ val search :
     gathered for the query's tokens only, partial dot products
     accumulate per candidate, and ranking early-terminates whole
     relations whose score upper bound cannot beat the current k-th
-    score. Index entries rebuild only when a relation's
-    [(uid, version)] moves, so repeated searches over an unchanged
-    database skip tokenisation and vectorization entirely.
-    [exec.index = false] (the [--no-index] escape hatch) instead
-    re-vectorizes and cosine-scores every tuple per call; the hit list
-    is byte-identical either way — scores, order, and tie-breaks.
+    score. Index entries change only when a relation's version moves
+    (patched from its retained deltas), so repeated searches over an
+    unchanged database skip tokenisation and vectorization entirely. The hit list
+    is byte-identical — scores, order, and tie-breaks — to
+    re-vectorizing and cosine-scoring every tuple per call.
 
-    [exec.jobs] shards posting accumulation (or brute-force scoring)
-    across domains; the ranking is identical for every value. When
+    [exec.jobs] shards posting accumulation across domains; the ranking
+    is identical for every value. When
     [network] is given, relations owned by a peer that
     {!Network.Fault.is_down} are excluded at query time — search
     degrades to the reachable part of the PDMS instead of pretending
@@ -37,7 +36,7 @@ val search :
     peer heals.
 
     Opens a ["keyword.search"] span (children ["kwindex.build"],
-    ["kwindex.probe"], ["rank"]; ["score"] on the brute path) and
+    ["kwindex.probe"], ["rank"]) and
     records [pdms.keyword.*] plus [pdms.kwindex.*] metrics. *)
 
 val render_hit : hit -> string

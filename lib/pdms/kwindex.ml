@@ -12,9 +12,9 @@
    rebuilt: removed tuples are tombstoned (their slot stays, marked
    dead, their postings spliced out) and inserted tuples take fresh
    ascending slots, so postings stay id-ascending without renumbering.
-   A full rebuild happens only on a cold entry, when the delta log was
-   truncated past the cached version (counted in
-   [pdms.delta.rebuild_fallbacks]), or with [~incremental:false].
+   A full rebuild happens only on a cold entry or when the delta log
+   was truncated past the cached version (counted in
+   [pdms.delta.rebuild_fallbacks]).
    Once dead slots outnumber live ones, the entry is compacted: live
    slots are renumbered densely in ascending order and postings, norms
    and dirty slots are remapped ([pdms.kwindex.compactions]).
@@ -37,8 +37,8 @@
      Every other case (cold entry, rebuilt entry, new reachable set,
      changed [n]) merges df and computes norms in full, as before.
 
-   Byte-identity with the brute-force scorer is load-bearing: the
-   [--no-index] escape hatch must produce the same hit lists bit for
+   Byte-identity with brute-force scoring (vectorize every tuple, take
+   the cosine) is load-bearing: indexed hit lists must equal it bit for
    bit. Three invariants keep it:
    - per-tuple term frequencies are accumulated with the same
      [+. 1.0] folds as {!Util.Tfidf.vectorize} and stored in ascending
@@ -376,7 +376,7 @@ let evict_lru () =
   in
   match victim with Some (uid, _) -> Hashtbl.remove store uid | None -> ()
 
-let get ?(metrics = true) ?(incremental = true) ~rel_name rel =
+let get ?(metrics = true) ~rel_name rel =
   let uid = Relalg.Relation.uid rel in
   let version = Relalg.Relation.version rel in
   Mutex.lock lock;
@@ -387,7 +387,7 @@ let get ?(metrics = true) ?(incremental = true) ~rel_name rel =
     | Some e when e.version = version ->
         e.last_used <- now;
         Some e
-    | Some e when incremental -> (
+    | Some e -> (
         (* Stale entry: patch from the retained deltas under the lock —
            concurrent searches sharing the store serialise their index
            refresh here instead of racing on duplicate rebuilds. *)
@@ -399,7 +399,7 @@ let get ?(metrics = true) ?(incremental = true) ~rel_name rel =
         | None ->
             if metrics then Obs.Metrics.incr m_fallbacks;
             None)
-    | Some _ | None -> None
+    | None -> None
   in
   Mutex.unlock lock;
   match cached with
@@ -415,6 +415,9 @@ let get ?(metrics = true) ?(incremental = true) ~rel_name rel =
       Hashtbl.replace store uid e;
       Mutex.unlock lock;
       (e, true)
+
+let drop rel =
+  Mutex.protect lock (fun () -> Hashtbl.remove store (Relalg.Relation.uid rel))
 
 let store_size () =
   Mutex.lock lock;

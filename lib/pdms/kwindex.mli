@@ -12,11 +12,10 @@
     ones the entry is compacted: live slots are renumbered densely in
     ascending order, with postings, norms and dirty slots remapped
     ([pdms.kwindex.compactions]).  A full reindex of the relation
-    happens only on a cold entry, when the delta log was truncated past
-    the cached version ([pdms.delta.rebuild_fallbacks]), or with
-    [~incremental:false]; the bounded store evicts its
-    least-recently-used entry on overflow instead of resetting
-    wholesale.
+    happens only on a cold entry or when the delta log was truncated
+    past the cached version ([pdms.delta.rebuild_fallbacks]); the
+    bounded store evicts its least-recently-used entry on overflow
+    instead of resetting wholesale.
 
     Corpus statistics are patched too.  Each entry patch logs the
     tokens it touched (keyed by version) and the slots it added or
@@ -35,11 +34,10 @@
     Scoring through {!probe} is bit-identical to vectorizing every
     tuple and taking {!Util.Tfidf.cosine} against the query vector —
     term frequencies, norms, and partial dot products replay the exact
-    floating-point op order of the brute-force path, and patched or
+    floating-point op order of that scan, and patched or
     compacted entries preserve live-doc enumeration order (tie-breaks
     included) relative to a rebuild (see the implementation header for
-    the argument).  This is what lets [revere search --no-index] and
-    [--no-incremental] serve as byte-exact A/B baselines.
+    the argument).
 
     Instrumented with
     [pdms.kwindex.{builds,postings,df_merges,df_patched,norms_patched,compactions}]
@@ -94,19 +92,13 @@ type probe = {
 val tuple_tokens : Relalg.Relation.tuple -> string list
 (** Tokenised + stemmed values of a tuple, in value order. *)
 
-val get :
-  ?metrics:bool ->
-  ?incremental:bool ->
-  rel_name:string ->
-  Relalg.Relation.t ->
-  entry * bool
+val get : ?metrics:bool -> rel_name:string -> Relalg.Relation.t -> entry * bool
 (** [get ~rel_name rel] returns the index entry for [rel].  A cached
     entry at the current version is served as-is; a stale one is
-    delta-patched under the store lock when [incremental] (default
-    [true]) and the relation's delta log still reaches back — otherwise
-    it is rebuilt from scratch.  The flag is [true] only when a full
-    (re)build happened.  Thread-safe; concurrent searches serialise
-    their patching on the store lock. *)
+    delta-patched under the store lock when the relation's delta log
+    still reaches back — otherwise it is rebuilt from scratch.  The
+    flag is [true] only when a full (re)build happened.  Thread-safe;
+    concurrent searches serialise their patching on the store lock. *)
 
 val corpus : ?metrics:bool -> entry list -> int * Util.Tfidf.corpus
 (** [corpus entries] merges the per-relation df counts of the given
@@ -128,6 +120,9 @@ val probe :
     idf-changed slots when [stamp]'s corpus was patched from the one
     the cached norms belong to — safe to call from parallel shards as
     long as each entry is probed by one shard. *)
+
+val drop : Relalg.Relation.t -> unit
+(** Forget [rel]'s entry, so the next {!get} rebuilds it from scratch. *)
 
 val store_size : unit -> int
 (** Number of relations currently indexed (bounded by {!max_entries}). *)

@@ -19,12 +19,10 @@ val cardinality : t -> int
 
 val apply : ?exec:Exec.t -> t -> Updategram.t -> unit
 (** Apply the updategram to the underlying database {e and} maintain
-    the view (deletes processed before inserts).  With
-    [exec.incremental] (the default) the view's derivation counts are
-    patched per touched tuple under a [view.maintain] span; with
-    [~exec:(Exec.with_incremental false)] the database is mutated and
-    the view fully recomputed — the A/B baseline with identical final
-    contents.  [exec] defaults to the context given at {!create}. *)
+    the view (deletes processed before inserts): the view's derivation
+    counts are patched per touched tuple under a [view.maintain] span,
+    ending with the contents {!refresh} would compute.  [exec] defaults
+    to the context given at {!create}. *)
 
 val refresh : t -> unit
 (** Full recomputation from the current database state. *)

@@ -5,9 +5,9 @@
     {!Relation.deltas_since}: when the relation's version has moved, the
     cached per-column value-count tables are patched with the retained
     deltas (O(changed rows x arity)) instead of rescanned.  A full
-    O(tuples x arity) rescan happens only on a cold entry, when the
+    O(tuples x arity) rescan happens only on a cold entry or when the
     delta log was truncated past the cached version (counted in
-    [pdms.delta.rebuild_fallbacks]), or with [~incremental:false].
+    [pdms.delta.rebuild_fallbacks]).
     The table is mutex-protected; full scans happen outside the lock,
     so concurrent planners at worst duplicate one scan. *)
 
@@ -17,12 +17,10 @@ type t = {
       (** distinct values per column, length = schema arity *)
 }
 
-val of_relation : ?incremental:bool -> Relation.t -> t
-(** Statistics for the relation's current state.  [incremental]
-    (default [true]) allows delta-patching a stale cached entry —
-    counted in [pdms.delta.stats_patched] and {!cache_patches};
-    [false] forces the version-guarded rebuild discipline (any change
-    rescans), the [--no-incremental] A/B baseline. *)
+val of_relation : Relation.t -> t
+(** Statistics for the relation's current state.  A stale cached entry
+    is delta-patched — counted in [pdms.delta.stats_patched] and
+    {!cache_patches}. *)
 
 val selectivity : t -> int -> float
 (** [selectivity s col] is [1 / distinct.(col)] clamped to [(0, 1]] — the
@@ -39,6 +37,10 @@ val cache_misses : unit -> int
 val cache_patches : unit -> int
 (** How many serves were answered by folding retained deltas into a
     stale entry rather than rescanning. *)
+
+val drop : Relation.t -> unit
+(** Forget [rel]'s cached entry, so the next {!of_relation} rescans it
+    (a miss). *)
 
 val reset_cache : unit -> unit
 (** Drop every cached entry and zero the hit/miss/patch counters. *)

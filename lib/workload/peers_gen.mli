@@ -27,8 +27,7 @@ val join_query : generated -> at:int -> Cq.Query.t
 
 val keyword_query : generated -> Util.Prng.t -> string
 (** One keyword query of 1–3 words sampled from the values of a random
-    stored course tuple — guaranteed to have matching postings, which
-    is what the E18 indexed-vs-brute sweep wants. *)
+    stored course tuple — guaranteed to have matching postings. *)
 
 val keyword_queries : generated -> Util.Prng.t -> n:int -> string list
 

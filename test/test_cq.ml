@@ -589,7 +589,7 @@ let test_arity_mismatch_counter () =
 let prop_plan_matches_per_rewriting =
   QCheck.Test.make ~name:"trie batch = per-rewriting union (any jobs)"
     ~count:300
-    QCheck.(pair arb_db (list_of_size Gen.(int_range 2 6) arb_query))
+    QCheck.(pair arb_db (list_of_size Gen.(int_range 1 6) arb_query))
     (fun (db, qs) ->
       QCheck.assume (List.for_all Query.is_safe qs);
       let q0 = List.hd qs in

@@ -94,32 +94,6 @@ let test_provenance_scope () =
   check_b "in scope" true (Storage.Provenance.in_scope p "http://u/alice");
   check_b "out of scope" false (Storage.Provenance.in_scope p "http://u/bob")
 
-(* Relation store *)
-
-let test_relation_store_log_and_events () =
-  let s = Storage.Relation_store.create () in
-  Storage.Relation_store.declare s "r" [ "a" ];
-  let events = ref 0 in
-  Storage.Relation_store.subscribe s (fun _ -> incr events);
-  check_b "insert" true (Storage.Relation_store.insert s "r" [| vs "x" |]);
-  check_b "duplicate rejected" false (Storage.Relation_store.insert s "r" [| vs "x" |]);
-  check_b "delete" true (Storage.Relation_store.delete s "r" [| vs "x" |]);
-  check_b "delete missing" false (Storage.Relation_store.delete s "r" [| vs "x" |]);
-  check_i "two effective events" 2 !events;
-  check_i "log length" 2 (Storage.Relation_store.log_length s);
-  Storage.Relation_store.truncate_log s;
-  check_i "truncated" 0 (Storage.Relation_store.log_length s)
-
-let test_relation_store_declare_conflict () =
-  let s = Storage.Relation_store.create () in
-  Storage.Relation_store.declare s "r" [ "a" ];
-  Storage.Relation_store.declare s "r" [ "a" ];
-  check_b "arity clash raises" true
-    (try
-       Storage.Relation_store.declare s "r" [ "a"; "b" ];
-       false
-     with Invalid_argument _ -> true)
-
 (* N-Triples export/import *)
 
 let test_ntriples_roundtrip () =
@@ -157,67 +131,6 @@ let test_ntriples_import_errors () =
     (Result.is_error (Storage.Ntriples.import "<s> <p> \"o\" ."));
   (* Blank and comment lines are fine. *)
   check_b "comments ok" true (Result.is_ok (Storage.Ntriples.import "\n# hi\n\n"))
-
-(* Relation store: FIFO notification and the bounded, explicitly
-   truncating event log. *)
-
-let test_relation_store_fifo_subscribers () =
-  let s = Storage.Relation_store.create () in
-  Storage.Relation_store.declare s "r" [ "a" ];
-  let order = ref [] in
-  Storage.Relation_store.subscribe s (fun _ -> order := "first" :: !order);
-  Storage.Relation_store.subscribe s (fun _ -> order := "second" :: !order);
-  Storage.Relation_store.subscribe s (fun _ -> order := "third" :: !order);
-  ignore (Storage.Relation_store.insert s "r" [| vs "x" |]);
-  Alcotest.(check (list string))
-    "subscription order" [ "first"; "second"; "third" ] (List.rev !order)
-
-let test_relation_store_bounded_log () =
-  let s = Storage.Relation_store.create ~log_max:3 () in
-  Storage.Relation_store.declare s "r" [ "a" ];
-  for i = 1 to 5 do
-    ignore (Storage.Relation_store.insert s "r" [| vs (string_of_int i) |])
-  done;
-  check_i "capped length" 3 (Storage.Relation_store.log_length s);
-  check_i "floor past the dropped" 2 (Storage.Relation_store.log_floor s);
-  check_i "total unaffected" 5 (Storage.Relation_store.total_events s);
-  (* The retained suffix is chronological and addressable. *)
-  (match Storage.Relation_store.log s with
-  | [ Storage.Relation_store.Inserted (_, t3);
-      Storage.Relation_store.Inserted (_, t4);
-      Storage.Relation_store.Inserted (_, t5) ] ->
-      check_b "oldest retained is 3" true (t3 = [| vs "3" |]);
-      check_b "then 4" true (t4 = [| vs "4" |]);
-      check_b "newest is 5" true (t5 = [| vs "5" |])
-  | _ -> Alcotest.fail "unexpected log shape");
-  check_b "events_since floor works" true
-    (match Storage.Relation_store.events_since s 2 with
-    | Some evs -> List.length evs = 3
-    | None -> false);
-  check_i "events_since mid-suffix" 1
-    (match Storage.Relation_store.events_since s 4 with
-    | Some evs -> List.length evs
-    | None -> -1);
-  check_b "events_since past the end is empty" true
-    (Storage.Relation_store.events_since s 5 = Some []);
-  (* Positions older than the floor are gone: the explicit rebuild
-     signal, mirroring Relation.deltas_since. *)
-  check_b "capped-away position signals rebuild" true
-    (Storage.Relation_store.events_since s 1 = None);
-  Storage.Relation_store.truncate_log s;
-  check_i "truncate empties" 0 (Storage.Relation_store.log_length s);
-  check_i "floor jumps to total" 5 (Storage.Relation_store.log_floor s);
-  check_b "suffix at total still answerable" true
-    (Storage.Relation_store.events_since s 5 = Some []);
-  check_b "anything older now signals rebuild" true
-    (Storage.Relation_store.events_since s 4 = None)
-
-let test_relation_store_log_max_validated () =
-  check_b "log_max must be positive" true
-    (try
-       ignore (Storage.Relation_store.create ~log_max:0 ());
-       false
-     with Invalid_argument _ -> true)
 
 (* Codec: binary round-trips and frame integrity. *)
 
@@ -597,10 +510,4 @@ let () =
          Alcotest.test_case "reserve" `Quick test_wal_reserve ]);
       ("snapshot",
        [ Alcotest.test_case "round-trip and fallback" `Quick
-           test_snapshot_roundtrip_and_fallback ]);
-      ("relation_store",
-       [ Alcotest.test_case "log and events" `Quick test_relation_store_log_and_events;
-         Alcotest.test_case "declare conflict" `Quick test_relation_store_declare_conflict;
-         Alcotest.test_case "fifo subscribers" `Quick test_relation_store_fifo_subscribers;
-         Alcotest.test_case "bounded log" `Quick test_relation_store_bounded_log;
-         Alcotest.test_case "log_max validated" `Quick test_relation_store_log_max_validated ]) ]
+           test_snapshot_roundtrip_and_fallback ]) ]
