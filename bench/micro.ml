@@ -50,6 +50,26 @@ let test_reformulate =
   Test.make ~name:"pdms:reformulate-chain8"
     (Staged.stage (fun () -> ignore (Pdms.Reformulate.reformulate catalog query)))
 
+(* The mesh-join profile workload's mapping graph (Mesh-2, 12 peers,
+   course and instructor relations): its 140 catalog views are what
+   the compiled catalog's predicate index narrows down per LAV step,
+   which the chain fixture above is too small to show. *)
+let reformulate_mesh_fixture =
+  let topology =
+    Pdms.Topology.generate ~prng:(Util.Prng.create 2003) (Pdms.Topology.Mesh 2)
+      ~n:12
+  in
+  let g =
+    Workload.Peers_gen.generate (Util.Prng.create 1) ~topology
+      ~tuples_per_peer:3 ~with_join:true ()
+  in
+  (g.Workload.Peers_gen.catalog, Workload.Peers_gen.join_query g ~at:0)
+
+let test_reformulate_mesh =
+  let catalog, query = reformulate_mesh_fixture in
+  Test.make ~name:"pdms:reformulate-mesh2-12-join"
+    (Staged.stage (fun () -> ignore (Pdms.Reformulate.reformulate catalog query)))
+
 let triple_fixture =
   let prng = Util.Prng.create 42 in
   let repo = Mangrove.Repository.create () in
@@ -134,7 +154,7 @@ let test_lsd_predict =
 let run () =
   let tests =
     Test.make_grouped ~name:"revere"
-      [ test_minicon; test_reformulate; test_triple_query;
+      [ test_minicon; test_reformulate; test_reformulate_mesh; test_triple_query;
         test_view_maintenance; test_stemmer; test_lsd_predict ]
   in
   let ols =

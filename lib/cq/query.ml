@@ -16,7 +16,12 @@ let existential_vars t =
   let hv = head_vars t in
   List.filter (fun x -> not (List.mem x hv)) (body_vars t)
 
-let is_distinguished t x = List.mem x (head_vars t)
+(* A scan of the head's arguments, which builds no variable list:
+   MiniCon asks this for every view variable it matches. *)
+let is_distinguished t x =
+  List.exists
+    (function Term.Var y -> String.equal x y | Term.Const _ -> false)
+    t.head.Atom.args
 
 let is_safe t =
   let bv = body_vars t in

@@ -1,13 +1,25 @@
 type mapping_id = int
 
+(* The reformulation artifacts, indexed. Immutable once built, except
+   for the identity-view cache, which [lock] guards. *)
+type compiled = {
+  rules : (string, (mapping_id option * Cq.Query.t) list) Hashtbl.t;
+  views : (mapping_id option * Cq.Query.t) array;
+  by_pred : (string, int list) Hashtbl.t;
+  per_mapping : int array;
+  identity : (string * int, Cq.Query.t) Hashtbl.t;
+  lock : Mutex.t;
+}
+
 type t = {
   mutable peers : Peer.t list;
   mutable storage : Storage_desc.t list;
   mutable mappings : (mapping_id * Peer_mapping.t) list;
   mutable next_id : mapping_id;
-  (* Derived, rebuilt on mutation: *)
-  mutable rules : (string * (mapping_id option * Cq.Query.t)) list;
-  mutable views_cache : (mapping_id option * Cq.Query.t) list;
+  (* Built on the first lookup after a mutation; every mutation resets
+     it to [None]. *)
+  mutable compiled : compiled option;
+  lock : Mutex.t;
   stored : (string, unit) Hashtbl.t;
 }
 
@@ -17,8 +29,8 @@ let create () =
     storage = [];
     mappings = [];
     next_id = 0;
-    rules = [];
-    views_cache = [];
+    compiled = None;
+    lock = Mutex.create ();
     stored = Hashtbl.create 16;
   }
 
@@ -41,9 +53,10 @@ let retarget pred (q : Cq.Query.t) =
 
 (* One GAV rule + one LAV view per mapping direction. *)
 let artifacts_of_mapping (id, mapping) =
+  let mid = Some id in
   match mapping with
   | Peer_mapping.Definitional rule ->
-      ([ (rule.Cq.Query.head.Cq.Atom.pred, (Some id, rule)) ], [])
+      ([ (rule.Cq.Query.head.Cq.Atom.pred, (mid, rule)) ], [])
   | Peer_mapping.Glav g ->
       let directions =
         match g.Rewrite.Glav.kind with
@@ -61,12 +74,17 @@ let artifacts_of_mapping (id, mapping) =
             let pred = mapping_pred id rev in
             let rule = retarget pred g.Rewrite.Glav.lhs in
             let view = retarget pred g.Rewrite.Glav.rhs in
-            ((pred, (Some id, rule)) :: rules, (Some id, view) :: views))
+            ((pred, (mid, rule)) :: rules, (mid, view) :: views))
           ([], []) directions
       in
       (rules, views)
 
-let rebuild t =
+(* Rules for one predicate are listed oldest mapping first. Views are
+   numbered in catalog order — storage descriptions newest first, then
+   mapping views oldest first — and the predicate index keeps each
+   list ascending, since MiniCon's output order follows the order of
+   its views. *)
+let compile_now t =
   let rules, views =
     List.fold_left
       (fun (rules, views) m ->
@@ -75,8 +93,43 @@ let rebuild t =
       ([], []) t.mappings
   in
   let storage_views = List.map (fun d -> (None, d.Storage_desc.view)) t.storage in
-  t.rules <- rules;
-  t.views_cache <- storage_views @ views
+  let rule_index = Hashtbl.create 64 in
+  List.iter
+    (fun (pred, rule) ->
+      let prev = Option.value ~default:[] (Hashtbl.find_opt rule_index pred) in
+      Hashtbl.replace rule_index pred (rule :: prev))
+    (List.rev rules);
+  let views = Array.of_list (storage_views @ views) in
+  let by_pred = Hashtbl.create 64 in
+  let per_mapping = Array.make t.next_id 0 in
+  for i = Array.length views - 1 downto 0 do
+    let mid, view = views.(i) in
+    List.iter
+      (fun pred ->
+        let prev = Option.value ~default:[] (Hashtbl.find_opt by_pred pred) in
+        Hashtbl.replace by_pred pred (i :: prev))
+      (Cq.Query.body_preds view);
+    Option.iter (fun id -> per_mapping.(id) <- per_mapping.(id) + 1) mid
+  done;
+  {
+    rules = rule_index;
+    views;
+    by_pred;
+    per_mapping;
+    identity = Hashtbl.create 16;
+    lock = Mutex.create ();
+  }
+
+let compile t =
+  Mutex.protect t.lock (fun () ->
+      match t.compiled with
+      | Some c -> c
+      | None ->
+          let c = compile_now t in
+          t.compiled <- Some c;
+          c)
+
+let invalidate t = t.compiled <- None
 
 let add_peer t peer =
   if List.exists (fun p -> String.equal (Peer.name p) (Peer.name peer)) t.peers
@@ -94,7 +147,7 @@ let peers t = List.rev t.peers
 let add_storage t desc =
   t.storage <- desc :: t.storage;
   Hashtbl.replace t.stored (Storage_desc.stored_pred desc) ();
-  rebuild t
+  invalidate t
 
 let store_identity t peer ~rel =
   let attrs = List.assoc rel (Peer.schema peer) in
@@ -111,7 +164,7 @@ let add_mapping t mapping =
   let id = t.next_id in
   t.next_id <- id + 1;
   t.mappings <- (id, mapping) :: t.mappings;
-  rebuild t;
+  invalidate t;
   id
 
 let mappings t = List.rev t.mappings
@@ -119,14 +172,30 @@ let mapping_count t = List.length t.mappings
 
 let is_stored t pred = Hashtbl.mem t.stored pred
 
-let rules_for t pred =
-  List.filter_map
-    (fun (p, rule) -> if String.equal p pred then Some rule else None)
-    t.rules
+let rules_for (c : compiled) pred =
+  Option.value ~default:[] (Hashtbl.find_opt c.rules pred)
 
-let has_rules t pred = List.exists (fun (p, _) -> String.equal p pred) t.rules
+let has_rules (c : compiled) pred = Hashtbl.mem c.rules pred
 
-let views t = t.views_cache
+let views_for (c : compiled) preds =
+  List.concat_map
+    (fun p -> Option.value ~default:[] (Hashtbl.find_opt c.by_pred p))
+    preds
+  |> List.sort_uniq Int.compare
+  |> List.map (fun i -> c.views.(i))
+
+let views_of_mapping (c : compiled) id = c.per_mapping.(id)
+
+let identity_view (c : compiled) pred arity =
+  Mutex.protect c.lock (fun () ->
+      match Hashtbl.find_opt c.identity (pred, arity) with
+      | Some view -> view
+      | None ->
+          let args = List.init arity (fun i -> Cq.Term.v (Printf.sprintf "I%d" i)) in
+          let atom = Cq.Atom.make pred args in
+          let view = Cq.Query.make atom [ atom ] in
+          Hashtbl.replace c.identity (pred, arity) view;
+          view)
 
 let global_db t =
   let db = Relalg.Database.create () in

@@ -22,6 +22,7 @@ let m_pruned_visited = Obs.Metrics.counter "pdms.reformulate.pruned_visited"
 let m_pruned_subsumed = Obs.Metrics.counter "pdms.reformulate.pruned_subsumed"
 let m_pruned_depth = Obs.Metrics.counter "pdms.reformulate.pruned_depth"
 let m_lav = Obs.Metrics.counter "pdms.reformulate.lav_invocations"
+let m_lav_views = Obs.Metrics.counter "pdms.reformulate.lav_views"
 let m_sweeps = Obs.Metrics.counter "pdms.reformulate.sweep.runs"
 let m_sweep_tested = Obs.Metrics.counter "pdms.reformulate.sweep.pairs_tested"
 let m_sweep_skipped =
@@ -62,13 +63,17 @@ let canon_name i = if i < 256 then canon_names.(i) else "v" ^ string_of_int i
    through one scratch [Buffer] — the seed built the key from repeated
    [Atom.to_string] + [String.concat] allocations. *)
 let canonical node =
-  let mapping = Hashtbl.create 16 in
+  (* Node widths are a few variables: an association list beats a
+     hashtable here. *)
+  let mapping = ref [] in
+  let count = ref 0 in
   let canon_var x =
-    match Hashtbl.find_opt mapping x with
+    match List.assoc_opt x !mapping with
     | Some x' -> x'
     | None ->
-        let x' = canon_name (Hashtbl.length mapping) in
-        Hashtbl.replace mapping x x';
+        let x' = canon_name !count in
+        incr count;
+        mapping := (x, x') :: !mapping;
         x'
   in
   let buf = Buffer.create 128 in
@@ -112,10 +117,6 @@ let canonical node =
     tagged;
   (Buffer.contents buf, List.map snd tagged)
 
-let identity_view pred arity =
-  let args = List.init arity (fun i -> Term.v (Printf.sprintf "I%d" i)) in
-  Query.make (Atom.make pred args) [ Atom.make pred args ]
-
 (* Unfold one tagged atom with a rule; rule-body atoms inherit the
    atom's history extended with the rule's mapping id. *)
 let expand_tagged ~fresh node (atom, hist) extra (rule : Query.t) =
@@ -137,22 +138,19 @@ let expand_tagged ~fresh node (atom, hist) extra (rule : Query.t) =
       Some { head = Subst.apply_atom mgu node.head; body }
 
 (* Drop repeated body atoms, keeping the first occurrence in order.
-   Hash-set membership on the rendered atom — the seed's [List.exists]
-   over the seen-prefix was quadratic in body length. *)
+   Atoms are compared structurally, never rendered. A node body is the
+   query's atoms with some replaced by a mapping's body — a handful of
+   atoms — so a scan of the kept prefix is cheaper than any hash set. *)
 let dedupe_body node =
-  let seen = Hashtbl.create 16 in
-  let body =
-    List.filter
-      (fun (a, _) ->
-        let key = Atom.to_string a in
-        if Hashtbl.mem seen key then false
-        else begin
-          Hashtbl.replace seen key ();
-          true
-        end)
-      node.body
+  let rec keep seen = function
+    | [] -> List.rev seen
+    | ((a, _) as tagged) :: rest ->
+        if List.exists (fun (b, _) -> Atom.equal a b) seen then keep seen rest
+        else keep (tagged :: seen) rest
   in
-  { node with body }
+  match node.body with
+  | [] | [ _ ] -> node
+  | body -> { node with body = keep [] body }
 
 (* Emit-time subsumption index: rewritings bucketed by signature, with
    O(1) bucket lookup by signature key. [subsumed_by_any] visits only
@@ -293,6 +291,7 @@ let reformulate ?(exec = Exec.default) catalog (q : Query.t) =
   let pruning = exec.Exec.pruning in
   let trace = exec.Exec.trace in
   Obs.Trace.span trace "reformulate" @@ fun () ->
+  let compiled = Catalog.compile catalog in
   let nodes_expanded = ref 0 in
   let emitted = ref [] in
   let emitted_count = ref 0 in
@@ -302,6 +301,7 @@ let reformulate ?(exec = Exec.default) catalog (q : Query.t) =
   let pruned_subsumed = ref 0 in
   let pruned_depth = ref 0 in
   let lav_invocations = ref 0 in
+  let lav_views = ref 0 in
   (* Goal memo: alpha-normalised CQ keys already enqueued (ignoring
      histories). Breadth-first order makes the first visit the
      shortest-path one, so its history is the most permissive in
@@ -314,7 +314,7 @@ let reformulate ?(exec = Exec.default) catalog (q : Query.t) =
   let fresh_counter = ref 0 in
   let fresh () =
     incr fresh_counter;
-    Printf.sprintf "~g%d" !fresh_counter
+    "~g" ^ string_of_int !fresh_counter
   in
   let emit c =
     let c = Minimize.remove_duplicate_atoms c in
@@ -388,7 +388,7 @@ let reformulate ?(exec = Exec.default) catalog (q : Query.t) =
          (definitional mappings and GLAV mapping predicates). *)
       let gav =
         List.find_opt
-          (fun ((a : Atom.t), _) -> Catalog.has_rules catalog a.Atom.pred)
+          (fun ((a : Atom.t), _) -> Catalog.has_rules compiled a.Atom.pred)
           pending
       in
       match gav with
@@ -405,7 +405,7 @@ let reformulate ?(exec = Exec.default) catalog (q : Query.t) =
                 match expand_tagged ~fresh node tagged mid rule with
                 | None -> ()
                 | Some node' -> push node' (depth + 1))
-            (Catalog.rules_for catalog atom.Atom.pred)
+            (Catalog.rules_for compiled atom.Atom.pred)
       | None ->
           (* Step 2: LAV — answer the whole query with the catalog's
              views (MiniCon); identity views carry stored atoms through
@@ -415,15 +415,28 @@ let reformulate ?(exec = Exec.default) catalog (q : Query.t) =
           let union_hist =
             List.fold_left (fun acc (_, h) -> Iset.union acc h) Iset.empty pending
           in
+          (* History filter first, over every view of the catalog, so
+             [pruned_history] counts the views of each traversed mapping
+             whether or not they could match. Then only the views whose
+             body mentions a predicate of the node go to MiniCon: any
+             other view forms no MCD, so the rewritings are unchanged. *)
+          let blocked id = pruning.use_history && Iset.mem id union_hist in
+          if pruning.use_history then
+            pruned_history :=
+              Iset.fold
+                (fun id n -> n + Catalog.views_of_mapping compiled id)
+                union_hist !pruned_history;
+          let preds =
+            List.sort_uniq String.compare
+              (List.map (fun ((a : Atom.t), _) -> a.Atom.pred) node.body)
+          in
           let usable_views =
             List.filter_map
               (fun (mid, view) ->
                 match mid with
-                | Some id when pruning.use_history && Iset.mem id union_hist ->
-                    incr pruned_history;
-                    None
+                | Some id when blocked id -> None
                 | Some _ | None -> Some view)
-              (Catalog.views catalog)
+              (Catalog.views_for compiled preds)
           in
           let id_views =
             node.body
@@ -432,10 +445,12 @@ let reformulate ?(exec = Exec.default) catalog (q : Query.t) =
                      Some (a.Atom.pred, Atom.arity a)
                    else None)
             |> List.sort_uniq compare
-            |> List.map (fun (p, n) -> identity_view p n)
+            |> List.map (fun (p, n) -> Catalog.identity_view compiled p n)
           in
+          let views = usable_views @ id_views in
+          lav_views := !lav_views + List.length views;
           let rewritings, _ =
-            Rewrite.Minicon.rewrite ~views:(usable_views @ id_views) (plain node)
+            Rewrite.Minicon.rewrite ~views (plain node)
           in
           List.iter
             (fun (r : Query.t) ->
@@ -484,7 +499,8 @@ let reformulate ?(exec = Exec.default) catalog (q : Query.t) =
     Obs.Metrics.add m_pruned_visited stats.pruned_visited;
     Obs.Metrics.add m_pruned_subsumed stats.pruned_subsumed;
     Obs.Metrics.add m_pruned_depth stats.pruned_depth;
-    Obs.Metrics.add m_lav stats.lav_invocations
+    Obs.Metrics.add m_lav stats.lav_invocations;
+    Obs.Metrics.add m_lav_views !lav_views
   end;
   Obs.Trace.attr_i trace "expanded" stats.nodes_expanded;
   Obs.Trace.attr_i trace "rewritings" stats.emitted;
@@ -493,6 +509,7 @@ let reformulate ?(exec = Exec.default) catalog (q : Query.t) =
   Obs.Trace.attr_i trace "pruned_subsumed" stats.pruned_subsumed;
   Obs.Trace.attr_i trace "pruned_depth" stats.pruned_depth;
   Obs.Trace.attr_i trace "lav_invocations" stats.lav_invocations;
+  Obs.Trace.attr_i trace "lav_views" !lav_views;
   { rewritings; stats }
 
 let pp_stats fmt s =

@@ -1,11 +1,30 @@
 open Cq
 
+(* What a piece puts at one head argument of its view atom. *)
+type slot =
+  | Fixed of Term.t  (** a constant the cover binds the argument to *)
+  | Exposed of string  (** the first covered query variable mapped to it *)
+  | Hidden  (** no covered query variable reaches it: a fresh variable *)
+
+(* Everything [assemble] needs from a piece depends on the piece alone,
+   so it is computed once here; a piece then serves every combination
+   it takes part in. *)
 type piece = {
   view : Query.t;
-  state : Cover.state;
   covered : int list;
-  covered_qvars : string list;
+  images : (string * Term.t) list;
+      (* each mapped covered query variable with its view-side image *)
+  merges : string list list;
+      (* covered query variables the piece maps to one view variable,
+         two or more per group, newest first *)
+  slots : slot list;  (* one per head argument of the view *)
 }
+
+let covered p = p.covered
+
+(* The view variable a covered query variable is mapped to, if any. *)
+let mapped_to (_, image) =
+  match image with Term.Var v -> Some v | Term.Const _ -> None
 
 let piece ~view ~state ~covered ~query =
   let body = Array.of_list query.Query.body in
@@ -13,80 +32,105 @@ let piece ~view ~state ~covered ~query =
     List.concat_map (fun i -> Atom.vars body.(i)) covered
     |> List.sort_uniq String.compare
   in
-  { view; state; covered; covered_qvars = qvars }
+  let images =
+    List.filter_map
+      (fun x -> Option.map (fun t -> (x, t)) (Cover.image state x))
+      qvars
+  in
+  let groups =
+    List.fold_left
+      (fun groups ((x, _) as xi) ->
+        match mapped_to xi with
+        | None -> groups
+        | Some v ->
+            if List.mem_assoc v groups then
+              List.map
+                (fun (v', g) -> if String.equal v v' then (v', x :: g) else (v', g))
+                groups
+            else groups @ [ (v, [ x ]) ])
+      [] images
+  in
+  let merges =
+    List.filter_map
+      (fun (_, group) -> match group with [] | [ _ ] -> None | g -> Some g)
+      groups
+  in
+  let slot head_arg =
+    match Cover.resolve state head_arg with
+    | Term.Const _ as c -> Fixed c
+    | Term.Var v -> (
+        match
+          List.find_opt
+            (fun xi ->
+              match mapped_to xi with
+              | Some v' -> String.equal v v'
+              | None -> false)
+            images
+        with
+        | Some (x, _) -> Exposed x
+        | None -> Hidden)
+  in
+  let slots = List.map slot view.Query.head.Atom.args in
+  { view; covered; images; merges; slots }
 
 exception Conflict
 
 let assemble ~fresh (q : Query.t) pieces =
-  let uf = Util.Union_find.create () in
   (* Query variables mapped to the same distinguished view variable by
-     one piece are equated in the rewriting. *)
-  List.iter
-    (fun p ->
-      let by_image = Hashtbl.create 8 in
+     one piece are equated in the rewriting. The union-find is only
+     allocated when some piece has such a group, which most
+     combinations do not. *)
+  let uf =
+    if List.for_all (fun p -> p.merges = []) pieces then None
+    else
+      let size =
+        List.fold_left (fun n p -> n + List.length p.images) 0 pieces
+      in
+      let t = Util.Union_find.create ~size () in
       List.iter
-        (fun x ->
-          match Cover.image p.state x with
-          | Term.Var v when not (String.equal v x) ->
-              let group = Option.value ~default:[] (Hashtbl.find_opt by_image v) in
-              Hashtbl.replace by_image v (x :: group)
-          | Term.Var _ | Term.Const _ -> ())
-        p.covered_qvars;
-      Hashtbl.iter
-        (fun _ group ->
-          match group with
-          | [] | [ _ ] -> ()
-          | x :: rest -> List.iter (Util.Union_find.union uf x) rest)
-        by_image)
-    pieces;
-  let repr x = Util.Union_find.find uf x in
-  (* Rewriting-side term for each (representative) query variable. *)
-  let global : (string, Term.t) Hashtbl.t = Hashtbl.create 16 in
+        (fun p ->
+          List.iter
+            (function
+              | x :: rest -> List.iter (Util.Union_find.union t x) rest
+              | [] -> ())
+            p.merges)
+        pieces;
+      Some t
+  in
+  let repr x = match uf with None -> x | Some t -> Util.Union_find.find t x in
+  (* Rewriting-side term for each (representative) query variable; a
+     handful of entries, so an association list. *)
+  let global = ref [] in
+  let find key = List.assoc_opt key !global in
+  let set key term = global := (key, term) :: List.remove_assoc key !global in
   try
     List.iter
       (fun p ->
         List.iter
-          (fun x ->
+          (fun (x, image) ->
             let key = repr x in
-            match Cover.image p.state x with
+            match image with
             | Term.Const c -> (
-                match Hashtbl.find_opt global key with
+                match find key with
                 | Some (Term.Const c') when not (Relalg.Value.equal c c') ->
                     raise Conflict
                 | Some (Term.Const _) -> ()
-                | Some (Term.Var _) | None ->
-                    Hashtbl.replace global key (Term.Const c))
+                | Some (Term.Var _) | None -> set key image)
             | Term.Var v ->
-                if
-                  (not (String.equal v x))
-                  && Query.is_distinguished p.view v
-                  && not (Hashtbl.mem global key)
-                then Hashtbl.replace global key (Term.Var key))
-          p.covered_qvars)
+                if Query.is_distinguished p.view v && find key = None then
+                  set key (Term.Var key))
+          p.images)
       pieces;
     let atom_of_piece p =
-      (* Reverse map: distinguished view var -> covered query vars. *)
-      let exposing = Hashtbl.create 8 in
-      List.iter
-        (fun x ->
-          match Cover.image p.state x with
-          | Term.Var v when not (String.equal v x) ->
-              if not (Hashtbl.mem exposing v) then Hashtbl.replace exposing v x
-          | Term.Var _ | Term.Const _ -> ())
-        p.covered_qvars;
       let args =
         List.map
-          (fun head_arg ->
-            match Subst.walk p.state head_arg with
-            | Term.Const c -> Term.Const c
-            | Term.Var v -> (
-                match Hashtbl.find_opt exposing v with
-                | Some x -> (
-                    match Hashtbl.find_opt global (repr x) with
-                    | Some t -> t
-                    | None -> Term.Var (repr x))
-                | None -> Term.Var (fresh ())))
-          p.view.Query.head.Atom.args
+          (function
+            | Fixed c -> c
+            | Exposed x -> (
+                let key = repr x in
+                match find key with Some t -> t | None -> Term.Var key)
+            | Hidden -> Term.Var (fresh ()))
+          p.slots
       in
       Atom.make p.view.Query.head.Atom.pred args
     in
@@ -97,7 +141,7 @@ let assemble ~fresh (q : Query.t) pieces =
           match t with
           | Term.Const _ -> t
           | Term.Var x -> (
-              match Hashtbl.find_opt global (repr x) with
+              match find (repr x) with
               | Some t -> t
               | None -> raise Conflict (* head variable not exposed *)))
         q.Query.head.Atom.args

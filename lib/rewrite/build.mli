@@ -5,17 +5,16 @@
     state, emit a conjunctive query over the view predicates whose head
     is the original query head. *)
 
-type piece = {
-  view : Cq.Query.t;  (** freshened view (head predicate = view name) *)
-  state : Cover.state;
-  covered : int list;  (** indices of covered query subgoals *)
-  covered_qvars : string list;
-      (** query variables occurring in the covered subgoals *)
-}
+type piece
+(** One view covering some query subgoals under a cover state.
+    Everything {!assemble} reads from it is computed when the piece is
+    made, so a piece can take part in many combinations cheaply. *)
 
 val piece : view:Cq.Query.t -> state:Cover.state -> covered:int list
   -> query:Cq.Query.t -> piece
-(** Computes [covered_qvars] from the query body. *)
+(** [covered] are the indices of the query subgoals the view covers. *)
+
+val covered : piece -> int list
 
 val assemble : fresh:(unit -> string) -> Cq.Query.t -> piece list -> Cq.Query.t option
 (** [assemble ~fresh q pieces] builds the rewriting, or [None] when the

@@ -6,18 +6,16 @@ type stats = {
   rewritings_produced : int;
 }
 
-type mcd = { view : Query.t; state : Cover.state; covered : int list }
-
 module Iset = Set.Make (Int)
 
-(* All MCDs of [view] for query [q]. Each MCD starts from one (subgoal,
-   view-atom) seed and is closed under the forced-coverage rule: a query
-   variable mapped to an existential view variable drags every subgoal
-   mentioning it into the MCD. *)
-let mcds_of_view (q : Query.t) view =
-  let body = Array.of_list q.Query.body in
+(* All MCDs of [view] for query [q] (body [body], distinguished
+   variables [head_vars]), each as the piece it contributes to a
+   rewriting. Each MCD starts from one (subgoal, view-atom) seed and is
+   closed under the forced-coverage rule: a query variable mapped to an
+   existential view variable drags every subgoal mentioning it into the
+   MCD. *)
+let mcds_of_view (q : Query.t) ~body ~head_vars (view : Query.t) =
   let n = Array.length body in
-  let head_vars = Query.head_vars q in
   let subgoals_with x =
     List.filter (fun j -> List.mem x (Atom.vars body.(j))) (List.init n Fun.id)
   in
@@ -55,35 +53,43 @@ let mcds_of_view (q : Query.t) view =
   for i = 0 to n - 1 do
     close Cover.empty Iset.empty [ i ]
   done;
-  let canonical (st, covered) =
-    let bindings =
-      List.map
-        (fun (x, t) -> x ^ "=" ^ Term.to_string (Subst.walk st t))
-        (Subst.bindings st)
-    in
-    String.concat ";" (List.map string_of_int (Iset.elements covered))
-    ^ "|" ^ String.concat "," bindings
-  in
-  let seen = Hashtbl.create 16 in
+  (* Two solutions are the same MCD when they cover the same subgoals
+     with the same resolved bindings. Keys are compared structurally;
+     a view yields only a few solutions, so a list of seen keys does. *)
+  let key (st, covered) = (Iset.elements covered, Cover.resolved_bindings st) in
+  let seen = ref [] in
   List.filter_map
-    (fun (st, covered) ->
-      let key = canonical (st, covered) in
-      if Hashtbl.mem seen key then None
+    (fun ((st, covered) as solution) ->
+      let k = key solution in
+      if List.exists (fun k' -> compare k k' = 0) !seen then None
       else begin
-        Hashtbl.replace seen key ();
-        Some { view; state = st; covered = Iset.elements covered }
+        seen := k :: !seen;
+        Some
+          (Build.piece ~view ~state:st ~covered:(Iset.elements covered)
+             ~query:q)
       end)
     !results
 
+module Query_tbl = Hashtbl.Make (struct
+  type t = Query.t
+
+  let equal = Query.equal
+  let hash = Hashtbl.hash
+end)
+
 let rewrite ~views (q : Query.t) =
-  let views = Cover.prepare_views views in
-  let mcds = List.concat_map (mcds_of_view q) views in
+  let body = Array.of_list q.Query.body in
+  let head_vars = Query.head_vars q in
+  let mcds =
+    List.concat_map (mcds_of_view q ~body ~head_vars) views
+    |> List.map (fun (p : Build.piece) -> (p, Iset.of_list (Build.covered p)))
+  in
   let n = Query.size q in
   let full = Iset.of_list (List.init n Fun.id) in
   let counter = ref 0 in
   let fresh () =
     incr counter;
-    Printf.sprintf "~f%d" !counter
+    "~f" ^ string_of_int !counter
   in
   let combinations = ref 0 in
   let rewritings = ref [] in
@@ -91,38 +97,33 @@ let rewrite ~views (q : Query.t) =
   let rec combine covered chosen =
     if Iset.equal covered full then begin
       incr combinations;
-      let pieces =
-        List.rev_map
-          (fun m -> Build.piece ~view:m.view ~state:m.state ~covered:m.covered ~query:q)
-          chosen
-      in
-      match Build.assemble ~fresh q pieces with
+      match Build.assemble ~fresh q (List.rev chosen) with
       | Some r -> rewritings := Minimize.remove_duplicate_atoms r :: !rewritings
       | None -> ()
     end
     else
       let j = Iset.min_elt (Iset.diff full covered) in
       List.iter
-        (fun m ->
-          let mset = Iset.of_list m.covered in
+        (fun (m, mset) ->
           if Iset.mem j mset && Iset.is_empty (Iset.inter mset covered) then
             combine (Iset.union covered mset) (m :: chosen))
         mcds
   in
   if n > 0 then combine Iset.empty [];
-  (* Syntactic dedupe on sorted bodies, hash-set backed: first
-     occurrence wins, linear in the number of rewritings. *)
+  (* Syntactic dedupe on sorted bodies, hash-set backed and keyed on
+     the query structure: first occurrence wins, linear in the number
+     of rewritings. *)
   let normalize (r : Query.t) =
     { r with Query.body = List.sort Atom.compare r.Query.body }
   in
-  let seen_rewriting = Hashtbl.create 32 in
+  let seen_rewriting = Query_tbl.create 32 in
   let deduped =
     List.filter
       (fun r ->
-        let nkey = Query.to_string (normalize r) in
-        if Hashtbl.mem seen_rewriting nkey then false
+        let nr = normalize r in
+        if Query_tbl.mem seen_rewriting nr then false
         else begin
-          Hashtbl.replace seen_rewriting nkey ();
+          Query_tbl.replace seen_rewriting nr ();
           true
         end)
       !rewritings

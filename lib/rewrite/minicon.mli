@@ -16,8 +16,13 @@ type stats = {
 
 val rewrite : views:Cq.Query.t list -> Cq.Query.t -> Cq.Query.t list * stats
 (** [rewrite ~views q] returns contained rewritings of [q] over the view
-    predicates. View heads must use distinct predicate names from base
-    relations. *)
+    predicates. Views are used as defined: their variables may share
+    names with [q]'s and with each other's. A view none of whose body
+    predicates occurs in [q] forms no MCD, so dropping it from [views]
+    changes neither the rewritings, nor their order, nor the stats —
+    the PDMS reformulator passes only the views its catalog indexes
+    under the query's predicates. View heads must use distinct
+    predicate names from base relations. *)
 
 val expand : views:Cq.Query.t list -> Cq.Query.t -> Cq.Query.t list
 (** Expand a rewriting back to base predicates by unfolding view

@@ -1,6 +1,7 @@
 type t = { parent : (string, string) Hashtbl.t; rank : (string, int) Hashtbl.t }
 
-let create () = { parent = Hashtbl.create 64; rank = Hashtbl.create 64 }
+let create ?(size = 64) () =
+  { parent = Hashtbl.create size; rank = Hashtbl.create size }
 
 let rec find t x =
   match Hashtbl.find_opt t.parent x with

@@ -2144,6 +2144,239 @@ let test_placement_greedy_improves () =
   check_b "replicated" true
     (List.length (List.assoc "calendar" placed) >= 2)
 
+(* ------------------------------------------------------------------ *)
+(* Reformulation golden: the join and course queries at every peer of
+   three generated PDMSs. Each row pins the MD5 of the rewritings (one
+   [Query.to_string] per line, in order) and the seven [stats] fields
+   [nodes_expanded; emitted; pruned_history; pruned_visited;
+   pruned_subsumed; pruned_depth; lav_invocations], recorded before the
+   catalog was compiled into predicate indexes. Any change to the search
+   — its order, its pruning or its variable naming — fails here. *)
+
+let golden_pdms =
+  [ ("mesh2-12", P.Topology.Mesh 2, 12);
+    ("mesh1-16", P.Topology.Mesh 1, 16);
+    ("chain-10", P.Topology.Chain, 10) ]
+
+let golden_rows =
+  [
+    ("mesh2-12", "join", 0, "8042903eb1878d9f57c7b5ed1880c281", [ 4684; 144; 3240; 3686; 284; 0; 428 ]);
+    ("mesh2-12", "join", 1, "3d5dbcae7d2fc091c3c0dd69cf99f3d0", [ 4597; 144; 3020; 3666; 264; 0; 408 ]);
+    ("mesh2-12", "join", 2, "d0b37d3817a080bc848c5d96639485eb", [ 4740; 144; 3780; 3726; 288; 0; 432 ]);
+    ("mesh2-12", "join", 3, "ab06ba44d02b65506904d0a9457e486b", [ 4741; 144; 3508; 3734; 288; 0; 432 ]);
+    ("mesh2-12", "join", 4, "85e1c63587fdf43b4a64b4f152858ed7", [ 4671; 144; 3384; 3670; 284; 0; 428 ]);
+    ("mesh2-12", "join", 5, "a38ce9007f24c7372e524ef4750c2dc7", [ 4614; 144; 3696; 3622; 282; 0; 426 ]);
+    ("mesh2-12", "join", 6, "a3627c1651c59c9c0e318212a169112d", [ 4758; 144; 3288; 3746; 288; 0; 432 ]);
+    ("mesh2-12", "join", 7, "35a149a8845927108b18c27f0fd5cdfa", [ 4709; 144; 3408; 3714; 286; 0; 430 ]);
+    ("mesh2-12", "join", 8, "99f21ccfd4e871f35e7c99e7a4d7214a", [ 4660; 144; 3724; 3676; 284; 0; 428 ]);
+    ("mesh2-12", "join", 9, "5c59581f16b12dfb5ae4fe2b1b2cd897", [ 4654; 144; 3408; 3678; 284; 0; 428 ]);
+    ("mesh2-12", "join", 10, "e762f837a7f49b5018e8171db3aa7bcb", [ 4724; 144; 3408; 3754; 286; 0; 430 ]);
+    ("mesh2-12", "join", 11, "3e4c3d4cae6fb8798d770db1ab752bbd", [ 4755; 144; 3780; 3726; 288; 0; 432 ]);
+    ("mesh2-12", "course", 0, "132b89db37ab5b0b1e401e4f7c454fa5", [ 71; 12; 32; 36; 0; 0; 12 ]);
+    ("mesh2-12", "course", 1, "8caed35cac94659b54673a21c478c01f", [ 71; 12; 32; 36; 0; 0; 12 ]);
+    ("mesh2-12", "course", 2, "7ec3004b9c6e7442cf844eae3150dacb", [ 71; 12; 38; 36; 0; 0; 12 ]);
+    ("mesh2-12", "course", 3, "12e9f1a7e1a576c19b5f7085d9617d6d", [ 71; 12; 34; 36; 0; 0; 12 ]);
+    ("mesh2-12", "course", 4, "ae88fe6ec5e181a912c3d5e9cf511fda", [ 71; 12; 34; 36; 0; 0; 12 ]);
+    ("mesh2-12", "course", 5, "bc01147d6a80e6df1c5691598213ce4f", [ 71; 12; 38; 36; 0; 0; 12 ]);
+    ("mesh2-12", "course", 6, "89b2b5141f12704012dcf14ccc788588", [ 71; 12; 30; 36; 0; 0; 12 ]);
+    ("mesh2-12", "course", 7, "582d3977b643a9f1ccbb2b49bf1ad057", [ 71; 12; 34; 36; 0; 0; 12 ]);
+    ("mesh2-12", "course", 8, "3a1f431262cbbefb648474b47d1ab306", [ 71; 12; 38; 36; 0; 0; 12 ]);
+    ("mesh2-12", "course", 9, "0b4c95b2d4d4e482c289afd25d793f99", [ 71; 12; 34; 36; 0; 0; 12 ]);
+    ("mesh2-12", "course", 10, "063fd5f19d28fe36853d5e027e09b01b", [ 71; 12; 34; 36; 0; 0; 12 ]);
+    ("mesh2-12", "course", 11, "8bdc2c4c832e02d0bb02800262b2590a", [ 71; 12; 38; 36; 0; 0; 12 ]);
+    ("mesh1-16", "join", 0, "0fa1e8df24e35b810b7e3ad0158b1641", [ 3950; 256; 8432; 2166; 444; 0; 700 ]);
+    ("mesh1-16", "join", 1, "e029bf3a362704b6bda9cd5160896382", [ 4391; 256; 7116; 2320; 492; 0; 748 ]);
+    ("mesh1-16", "join", 2, "fa0b8f25b93c202fe53946d69e929970", [ 4457; 256; 8488; 2382; 496; 0; 752 ]);
+    ("mesh1-16", "join", 3, "cb8b040ce5a9f57efe48c3f0e4c5e600", [ 4383; 256; 9656; 2294; 486; 0; 742 ]);
+    ("mesh1-16", "join", 4, "11036b6562ceaa86019e00189678d273", [ 4118; 256; 7204; 2188; 450; 0; 706 ]);
+    ("mesh1-16", "join", 5, "d7b2ac6d200baa0552a6b96c2b720792", [ 4264; 256; 9676; 2234; 500; 0; 756 ]);
+    ("mesh1-16", "join", 6, "8d3535a96c30c89fc9108e0918c246ce", [ 4425; 256; 7980; 2392; 504; 0; 760 ]);
+    ("mesh1-16", "join", 7, "484af794fe6cfd5d34ce49ac047c0588", [ 4408; 256; 9240; 2354; 498; 0; 754 ]);
+    ("mesh1-16", "join", 8, "678be68e824a2454a4106c7fb4aef179", [ 4421; 256; 10048; 2354; 504; 0; 760 ]);
+    ("mesh1-16", "join", 9, "bb7762605694658cab40cc90ac54428b", [ 4055; 256; 11660; 2048; 470; 0; 726 ]);
+    ("mesh1-16", "join", 10, "8f5f53e23100d93784dad345c6204012", [ 4024; 256; 10984; 2020; 452; 0; 708 ]);
+    ("mesh1-16", "join", 11, "f4f93a5d38559d4cfc35eaf443434598", [ 4074; 256; 9192; 2064; 442; 0; 698 ]);
+    ("mesh1-16", "join", 12, "71f04881579ceca0e19c3e84bf855b26", [ 4377; 256; 9926; 2256; 496; 0; 752 ]);
+    ("mesh1-16", "join", 13, "9ad74bf58d6808958cde14836388b6cc", [ 3955; 256; 9532; 2032; 442; 0; 698 ]);
+    ("mesh1-16", "join", 14, "2dc52841be8ed017a8077999293d1cc0", [ 4048; 256; 8136; 2146; 436; 0; 692 ]);
+    ("mesh1-16", "join", 15, "be0048dd49f66320180557e07f509175", [ 4136; 256; 11800; 2096; 494; 0; 750 ]);
+    ("mesh1-16", "course", 0, "6211c59d2d4da07510f7104b1716218d", [ 67; 16; 74; 20; 0; 0; 16 ]);
+    ("mesh1-16", "course", 1, "768dc9e21dd6d5671cf77532ef6ae1fb", [ 67; 16; 56; 20; 0; 0; 16 ]);
+    ("mesh1-16", "course", 2, "83ed0147ed92908368d8e0c86fd966a0", [ 67; 16; 64; 20; 0; 0; 16 ]);
+    ("mesh1-16", "course", 3, "08265b8cff1b7474e28350831afda696", [ 67; 16; 64; 20; 0; 0; 16 ]);
+    ("mesh1-16", "course", 4, "371d93b53bef88c8318692d7f4797b46", [ 67; 16; 58; 20; 0; 0; 16 ]);
+    ("mesh1-16", "course", 5, "b1973d287ff5019119a5c087e4d4b65c", [ 67; 16; 80; 20; 0; 0; 16 ]);
+    ("mesh1-16", "course", 6, "6319546ea8a304d6fd2cd5e02b10f67c", [ 67; 16; 62; 20; 0; 0; 16 ]);
+    ("mesh1-16", "course", 7, "1ffc474c526060046228005d2393a30f", [ 67; 16; 68; 20; 0; 0; 16 ]);
+    ("mesh1-16", "course", 8, "f0c319c19e5d270d632949f08b7abd9b", [ 67; 16; 74; 20; 0; 0; 16 ]);
+    ("mesh1-16", "course", 9, "97450d844bad92e5eff87e95fa4e072a", [ 67; 16; 88; 20; 0; 0; 16 ]);
+    ("mesh1-16", "course", 10, "5b5309b9ba52c75b486376d3879564ac", [ 67; 16; 84; 20; 0; 0; 16 ]);
+    ("mesh1-16", "course", 11, "15242ad57a8a28afc303afce5916f4de", [ 67; 16; 68; 20; 0; 0; 16 ]);
+    ("mesh1-16", "course", 12, "2f4c604952a4e0ba1c404e6b80eb6ce8", [ 67; 16; 68; 20; 0; 0; 16 ]);
+    ("mesh1-16", "course", 13, "a169b975aff8122c9d2b1ff69f82f2fb", [ 67; 16; 78; 20; 0; 0; 16 ]);
+    ("mesh1-16", "course", 14, "9d0adca954aee61994053e1778c47765", [ 67; 16; 70; 20; 0; 0; 16 ]);
+    ("mesh1-16", "course", 15, "72b25cf3b20b4da55dccaca6ffe5263c", [ 67; 16; 96; 20; 0; 0; 16 ]);
+    ("chain-10", "join", 0, "e8ac2620e8927981761e806998552f06", [ 308; 100; 1800; 0; 0; 0; 100 ]);
+    ("chain-10", "join", 1, "11350f0424e240b1622791c795045a3f", [ 310; 100; 1480; 0; 0; 0; 100 ]);
+    ("chain-10", "join", 2, "bdec2d775e5b3e22e6fc41f2de4cbdfb", [ 312; 100; 1240; 0; 0; 0; 100 ]);
+    ("chain-10", "join", 3, "37409e406d01379b7eab409f00e355cf", [ 314; 100; 1080; 0; 0; 0; 100 ]);
+    ("chain-10", "join", 4, "d6871cd531eb8be44d2d8e21bcb1df0b", [ 316; 100; 1000; 0; 0; 0; 100 ]);
+    ("chain-10", "join", 5, "489b19ec9d21e94ed5cd61fe3c1008a8", [ 316; 100; 1000; 0; 0; 0; 100 ]);
+    ("chain-10", "join", 6, "6c26b0a006c510bc284113ea1f062a7d", [ 314; 100; 1080; 0; 0; 0; 100 ]);
+    ("chain-10", "join", 7, "fd0b1f877548c58e07c6db016554373b", [ 312; 100; 1240; 0; 0; 0; 100 ]);
+    ("chain-10", "join", 8, "e21c3262de95afce75c6a43744a0b8a4", [ 310; 100; 1480; 0; 0; 0; 100 ]);
+    ("chain-10", "join", 9, "9c897322cb62f81379f3a7860ac43ca2", [ 308; 100; 1800; 0; 0; 0; 100 ]);
+    ("chain-10", "course", 0, "e2c07ebe81daedc3912b3468a38c43f9", [ 29; 10; 90; 0; 0; 0; 10 ]);
+    ("chain-10", "course", 1, "8649cec5830529151a91ac591cd3e840", [ 29; 10; 74; 0; 0; 0; 10 ]);
+    ("chain-10", "course", 2, "63af83106ad5730907171de5ebfc35cc", [ 29; 10; 62; 0; 0; 0; 10 ]);
+    ("chain-10", "course", 3, "06114802404d20c17476b609302c6e65", [ 29; 10; 54; 0; 0; 0; 10 ]);
+    ("chain-10", "course", 4, "e2f4b1238398e49bc5ac7b6b07e49248", [ 29; 10; 50; 0; 0; 0; 10 ]);
+    ("chain-10", "course", 5, "c4cb594e378b074c96157ce86e76e78d", [ 29; 10; 50; 0; 0; 0; 10 ]);
+    ("chain-10", "course", 6, "e661a23bc3caddee7e3ecf824ea2647a", [ 29; 10; 54; 0; 0; 0; 10 ]);
+    ("chain-10", "course", 7, "c2fc7959e48915d3fb48557294e41675", [ 29; 10; 62; 0; 0; 0; 10 ]);
+    ("chain-10", "course", 8, "3b9ed4a13fe57b220d3762d8feb21242", [ 29; 10; 74; 0; 0; 0; 10 ]);
+    ("chain-10", "course", 9, "83377424c54ce0e03e806e7fbe0fdabb", [ 29; 10; 90; 0; 0; 0; 10 ]);
+  ]
+
+let stats_fields (s : P.Reformulate.stats) =
+  P.Reformulate.
+    [ s.nodes_expanded; s.emitted; s.pruned_history; s.pruned_visited;
+      s.pruned_subsumed; s.pruned_depth; s.lav_invocations ]
+
+let rewritings_digest (o : P.Reformulate.outcome) =
+  String.concat "\n" (List.map Query.to_string o.P.Reformulate.rewritings)
+  |> Digest.string |> Digest.to_hex
+
+let test_reformulation_golden () =
+  let generated =
+    List.map
+      (fun (name, kind, n) ->
+        let topology =
+          P.Topology.generate ~prng:(Util.Prng.create 2003) kind ~n
+        in
+        ( name,
+          Workload.Peers_gen.generate (Util.Prng.create 1) ~topology
+            ~tuples_per_peer:2 ~with_join:true () ))
+      golden_pdms
+  in
+  check_i "one row per peer and query" (2 * (12 + 16 + 10))
+    (List.length golden_rows);
+  List.iter
+    (fun (name, kind, at, digest, stats) ->
+      let g = List.assoc name generated in
+      let query =
+        match kind with
+        | "join" -> Workload.Peers_gen.join_query g ~at
+        | _ -> Workload.Peers_gen.course_query g ~at
+      in
+      let o = P.Reformulate.reformulate g.Workload.Peers_gen.catalog query in
+      let label = Printf.sprintf "%s %s at %d" name kind at in
+      Alcotest.(check (list int))
+        (label ^ " stats") stats
+        (stats_fields o.P.Reformulate.stats);
+      Alcotest.(check string) (label ^ " rewritings") digest (rewritings_digest o))
+    golden_rows
+
+(* The catalog compiles its indexes lazily: every mutation path must
+   drop the compiled form. Reformulate after each mutation and compare
+   with a catalog built fresh with the same contents. *)
+let test_compiled_catalog_invalidation () =
+  let schema = [ ("course", [ "code"; "title" ]) ] in
+  let build steps =
+    let catalog = P.Catalog.create () in
+    let peers =
+      List.map
+        (fun name ->
+          let p = P.Peer.create ~name ~schema in
+          P.Catalog.add_peer catalog p;
+          p)
+        [ "a"; "b"; "c" ]
+    in
+    let a, b, c =
+      match peers with [ a; b; c ] -> (a, b, c) | _ -> assert false
+    in
+    let equality p p' =
+      let side peer =
+        q (atom "m" [ v "C"; v "T" ]) [ P.Peer.atom peer "course" [ v "C"; v "T" ] ]
+      in
+      P.Peer_mapping.equality ~lhs:(side p') ~rhs:(side p)
+    in
+    ignore (P.Catalog.store_identity catalog b ~rel:"course");
+    ignore (P.Catalog.add_mapping catalog (equality a b));
+    let mutations =
+      [ (fun () -> ignore (P.Catalog.add_mapping catalog (equality a c)));
+        (fun () ->
+          P.Catalog.add_storage catalog (P.Storage_desc.identity c ~rel:"course"));
+        (fun () -> ignore (P.Catalog.store_identity catalog a ~rel:"course")) ]
+    in
+    (catalog, a, List.filteri (fun i _ -> i < steps) mutations)
+  in
+  let query a =
+    q (atom "ans" [ v "X"; v "Y" ]) [ P.Peer.atom a "course" [ v "X"; v "Y" ] ]
+  in
+  let render (o : P.Reformulate.outcome) =
+    ( List.map Query.to_string o.P.Reformulate.rewritings,
+      stats_fields o.P.Reformulate.stats )
+  in
+  let reformulate catalog a = render (P.Reformulate.reformulate catalog (query a)) in
+  let live, a, mutations = build 3 in
+  let first = reformulate live a in
+  let last =
+    List.fold_left
+      (fun (prev, steps) mutate ->
+        mutate ();
+        let steps = steps + 1 in
+        let got = reformulate live a in
+        let fresh, fresh_a, fresh_mutations = build steps in
+        List.iter (fun m -> m ()) fresh_mutations;
+        let expected = reformulate fresh fresh_a in
+        let label = Printf.sprintf "after mutation %d" steps in
+        Alcotest.(check (pair (list string) (list int))) label expected got;
+        check_b (label ^ " changes the result") true (got <> prev);
+        (got, steps))
+      (first, 0) mutations
+  in
+  check_i "three rewritings at the end" 3 (List.length (fst (fst last)))
+
+(* [pdms.reformulate.lav_views] counts the views handed to MiniCon after
+   the predicate filter; the span attribute reports the same number. *)
+let test_lav_views_counter () =
+  let g =
+    Workload.Peers_gen.generate (Util.Prng.create 1)
+      ~topology:
+        (P.Topology.generate ~prng:(Util.Prng.create 2003) (P.Topology.Mesh 2)
+           ~n:6)
+      ~tuples_per_peer:1 ~with_join:true ()
+  in
+  let query = Workload.Peers_gen.join_query g ~at:0 in
+  let sink = Obs.Sink.memory () in
+  let exec = P.Exec.make ~trace:(Obs.Trace.create sink) () in
+  let counted () =
+    Obs.Metrics.counter_value (Obs.Metrics.snapshot ()) "pdms.reformulate.lav_views"
+  in
+  let before = counted () in
+  let o = P.Reformulate.reformulate ~exec g.Workload.Peers_gen.catalog query in
+  let delta = counted () - before in
+  let attr =
+    match Obs.Sink.spans sink with
+    | [ root ] -> (
+        match List.assoc_opt "lav_views" root.Obs.Span.attrs with
+        | Some (Obs.Span.Int i) -> i
+        | _ -> Alcotest.fail "missing lav_views attr")
+    | _ -> Alcotest.fail "expected one root span"
+  in
+  check_i "counter = span attr" attr delta;
+  check_b "some views per LAV step" true
+    (delta >= o.P.Reformulate.stats.P.Reformulate.lav_invocations);
+  (* Each equality mapping alone contributes two views to the catalog. *)
+  let mappings = P.Catalog.mapping_count g.Workload.Peers_gen.catalog in
+  check_b "fewer views per LAV step than the catalog has mappings" true
+    (delta < o.P.Reformulate.stats.P.Reformulate.lav_invocations * mappings);
+  let off = P.Exec.make ~metrics:false () in
+  let before = counted () in
+  ignore (P.Reformulate.reformulate ~exec:off g.Workload.Peers_gen.catalog query);
+  check_i "nothing counted with metrics off" before (counted ())
+
 let () =
   let qc = List.map QCheck_alcotest.to_alcotest in
   Alcotest.run "pdms"
@@ -2162,7 +2395,11 @@ let () =
          Alcotest.test_case "no-pruning agrees" `Quick test_no_pruning_terminates_and_agrees;
          Alcotest.test_case "projection mapping" `Quick test_projection_mapping;
          Alcotest.test_case "storage description selection" `Quick
-           test_storage_description_selection ]);
+           test_storage_description_selection;
+         Alcotest.test_case "golden rewritings and stats" `Quick
+           test_reformulation_golden;
+         Alcotest.test_case "compiled catalog follows mutations" `Quick
+           test_compiled_catalog_invalidation ]);
       ("topology",
        [ Alcotest.test_case "shapes" `Quick test_topology_shapes ]);
       ("network",
@@ -2253,6 +2490,8 @@ let () =
              prop_parallel_reformulation_matches_sequential ]);
       ("observability",
        [ Alcotest.test_case "answer span tree" `Quick test_answer_span_tree;
+         Alcotest.test_case "lav_views counter and span attr" `Quick
+           test_lav_views_counter;
          Alcotest.test_case "cache stats accessor" `Quick
            test_cache_stats_accessor ]
        @ qc [ prop_trace_changes_no_answers ]) ]

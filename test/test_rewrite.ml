@@ -277,6 +277,73 @@ let prop_minicon_complete_with_identity_views =
       let got = union_answers (view_db db views) rewritings in
       got = expected)
 
+(* Property: MiniCon over only the views that share a predicate with
+   the query returns what MiniCon over every view does — the same
+   rewritings in the same order, and the same stats. So does MiniCon
+   over the views with their variables renamed apart: views are used as
+   defined, and here their variables (A, B, X, Y) overlap the query's
+   (X, Y, Z, W). Random binary atoms over r/s/t (occasionally a
+   constant) for the query; views over r/s/t/u/w, plus one view over
+   u/w only, so every case drops at least one view. *)
+let prop_minicon_predicate_filter_exact =
+  QCheck.Test.make
+    ~name:"predicate-filtered minicon = minicon over all views"
+    ~count:300
+    (QCheck.make QCheck.Gen.(int_bound 1_000_000) ~print:string_of_int)
+    (fun seed ->
+      let prng = Util.Prng.create seed in
+      let term pool =
+        if Util.Prng.int prng 10 = 0 then s (Util.Prng.pick_arr prng [| "a"; "b" |])
+        else v (Util.Prng.pick_arr prng pool)
+      in
+      let body preds pool len =
+        List.init len (fun _ ->
+            atom (Util.Prng.pick_arr prng preds) [ term pool; term pool ])
+      in
+      let head name body =
+        let vars = List.sort_uniq String.compare (List.concat_map Atom.vars body) in
+        let kept = List.filter (fun _ -> Util.Prng.int prng 3 > 0) vars in
+        let kept = if kept = [] then List.filteri (fun i _ -> i = 0) vars else kept in
+        q (atom name (List.map v kept)) body
+      in
+      let query =
+        head "q"
+          (body [| "r"; "s"; "t" |] [| "X"; "Y"; "Z"; "W" |]
+             (1 + Util.Prng.int prng 3))
+      in
+      let view k preds =
+        head (Printf.sprintf "v%d" k)
+          (body preds [| "A"; "B"; "X"; "Y" |] (1 + Util.Prng.int prng 2))
+      in
+      let n = 1 + Util.Prng.int prng 6 in
+      let views = List.init n (fun k -> view k [| "r"; "s"; "t"; "u"; "w" |]) in
+      let at = Util.Prng.int prng (n + 1) in
+      let views =
+        List.filteri (fun i _ -> i < at) views
+        @ [ view n [| "u"; "w" |] ]
+        @ List.filteri (fun i _ -> i >= at) views
+      in
+      let all, all_stats = Minicon.rewrite ~views query in
+      let preds = Query.body_preds query in
+      let relevant =
+        List.filter
+          (fun view -> List.exists (fun p -> List.mem p preds) (Query.body_preds view))
+          views
+      in
+      let filtered, filtered_stats = Minicon.rewrite ~views:relevant query in
+      let renamed =
+        List.mapi
+          (fun i view -> Query.freshen ~suffix:(Printf.sprintf "~v%d" i) view)
+          views
+      in
+      let apart, apart_stats = Minicon.rewrite ~views:renamed query in
+      let strings = List.map Query.to_string in
+      List.length relevant < List.length views
+      && strings all = strings filtered
+      && all_stats = filtered_stats
+      && strings all = strings apart
+      && all_stats = apart_stats)
+
 (* ------------------------------------------------------------------ *)
 (* Glav *)
 
@@ -324,4 +391,5 @@ let () =
       ("properties",
        qc
          [ prop_minicon_sound_random; prop_minicon_bucket_equivalent;
-           prop_minicon_complete_with_identity_views ]) ]
+           prop_minicon_complete_with_identity_views;
+           prop_minicon_predicate_filter_exact ]) ]
