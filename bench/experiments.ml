@@ -878,7 +878,10 @@ let e13_configs configs () =
       let rewritings = outcome.Pdms.Reformulate.rewritings in
       (* One snapshot, frozen up front, shared by every jobs setting —
          no run gets to reuse indexes another run paid for. *)
-      let db = Pdms.Catalog.global_db_snapshot g.Workload.Peers_gen.catalog in
+      let db =
+        Relalg.Database.copy
+          (Pdms.Catalog.global_db g.Workload.Peers_gen.catalog)
+      in
       Relalg.Database.freeze db;
       let list_ms, list_count =
         wall_ms (fun () -> list_backed_union db rewritings)
@@ -1159,16 +1162,15 @@ let e15_configs ~peers ~cap ~threshold_pct () =
     done;
     !ms /. float_of_int iters
   in
-  let disabled_exec = Pdms.Exec.make ~metrics:false () in
   let memory_exec () =
     Pdms.Exec.make ~trace:(Obs.Trace.create (Obs.Sink.memory ())) ()
   in
   (* Mode 1: everything off — the global switch turns even registered
      counters into no-ops, approximating an uninstrumented build. *)
   Obs.Metrics.set_enabled false;
-  let base_ms =
+  let base_ms, disabled =
     Fun.protect ~finally:(fun () -> Obs.Metrics.set_enabled true)
-      (fun () -> best disabled_exec)
+      (fun () -> (best Pdms.Exec.default, sweep Pdms.Exec.default))
   in
   (* Mode 2: the permanent default — metrics counted, tracing nulled. *)
   let null_ms = best Pdms.Exec.default in
@@ -1176,7 +1178,7 @@ let e15_configs ~peers ~cap ~threshold_pct () =
   let traced_ms = best (memory_exec ()) in
   (* Instrumentation must not change the result. *)
   let render qs = List.map Cq.Query.to_string qs in
-  assert (render (sweep disabled_exec) = render reference);
+  assert (render disabled = render reference);
   assert (render (sweep (memory_exec ())) = render reference);
   let pct ms = (ms -. base_ms) /. Float.max 1e-9 base_ms *. 100.0 in
   let table = T.create [ "mode"; "sweep_ms"; "overhead_pct" ] in
@@ -1326,7 +1328,10 @@ let e17_configs ~repeats configs () =
       let rewritings = outcome.Pdms.Reformulate.rewritings in
       (* One frozen snapshot shared by both modes: neither run pays for
          or reuses the other's index builds. *)
-      let db = Pdms.Catalog.global_db_snapshot g.Workload.Peers_gen.catalog in
+      let db =
+        Relalg.Database.copy
+          (Pdms.Catalog.global_db g.Workload.Peers_gen.catalog)
+      in
       Relalg.Database.freeze db;
       let best f =
         let rec go best_ms last = function
@@ -1777,7 +1782,7 @@ let e20_configs ~rounds ~suffixes configs () =
     let u = e19_gram db names i in
     let rel = Relalg.Database.find db u.Pdms.Updategram.rel in
     apply_gram u;
-    ignore (Pdms.Cache.invalidate ~exec cache u);
+    ignore (Pdms.Cache.invalidate cache u);
     ignore (Pdms.Kwindex.get ~rel_name:u.Pdms.Updategram.rel rel);
     ignore (Relalg.Stats.of_relation rel);
     ignore (Pdms.Cache.answer ~exec cache (pinned : Cq.Query.t));

@@ -266,25 +266,17 @@ let run_each ?(jobs = 1) ?(trace = Obs.Trace.null) db t =
   in
   let emit_fn e b = Eval.add_distinct outs.(e.query) (head_tuple e b) in
   List.iter (fun e -> emit_fn e Eval.Smap.empty) t.root.emits;
+  (* Each query's relation is written by exactly one branch (one path
+     per query), so branches write disjoint slots of [outs]; Pool.map's
+     joins publish them to the caller. *)
   let reused =
-    if jobs <= 1 || List.length t.root.children < 2 then begin
-      let reused = ref 0 in
-      List.iter
-        (fun branch -> walk db emit_fn reused branch Eval.Smap.empty)
-        t.root.children;
-      !reused
-    end
-    else
-      (* Each query's relation is written by exactly one branch (one
-         path per query), so branches write disjoint slots of [outs];
-         Pool.map's joins publish them to the caller. *)
-      List.fold_left ( + ) 0
-        (Util.Pool.map jobs
-           (fun branch ->
-             let reused = ref 0 in
-             walk db emit_fn reused branch Eval.Smap.empty;
-             !reused)
-           t.root.children)
+    List.fold_left ( + ) 0
+      (Util.Pool.map jobs
+         (fun branch ->
+           let reused = ref 0 in
+           walk db emit_fn reused branch Eval.Smap.empty;
+           !reused)
+         t.root.children)
   in
   Obs.Metrics.add m_reused reused;
   Obs.Trace.attr_i trace "jobs" jobs;

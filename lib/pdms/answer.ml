@@ -33,14 +33,12 @@ let eval_union ?(exec = Exec.default) db = function
       let per_rewriting = Cq.Plan.run_union_into ~jobs ~trace out db plan in
       let tuples = List.fold_left ( + ) 0 per_rewriting in
       let answers = Relalg.Relation.cardinality out in
-      if exec.Exec.metrics then begin
-        Obs.Metrics.incr m_unions;
-        Obs.Metrics.add m_tuples tuples;
-        Obs.Metrics.add m_dedup_dropped (tuples - answers);
-        List.iter
-          (fun n -> Obs.Metrics.observe m_tuples_per_rw (float_of_int n))
-          per_rewriting
-      end;
+      Obs.Metrics.incr m_unions;
+      Obs.Metrics.add m_tuples tuples;
+      Obs.Metrics.add m_dedup_dropped (tuples - answers);
+      List.iter
+        (fun n -> Obs.Metrics.observe m_tuples_per_rw (float_of_int n))
+        per_rewriting;
       Obs.Trace.attr_i trace "rewritings" (List.length qs);
       Obs.Trace.attr_i trace "jobs" jobs;
       Obs.Trace.attr_i trace "tuples" tuples;
@@ -57,18 +55,10 @@ let answer ?(exec = Exec.default) catalog q =
     | [] ->
         (* No rewriting: empty relation shaped by the query head. *)
         empty_answers q
-    | rewritings ->
-        (* Workers read a snapshot, never the live peer relations. *)
-        let db =
-          if exec.Exec.jobs <= 1 then Catalog.global_db catalog
-          else Catalog.global_db_snapshot catalog
-        in
-        eval_union ~exec db rewritings
+    | rewritings -> eval_union ~exec (Catalog.global_db catalog) rewritings
   in
-  if exec.Exec.metrics then begin
-    Obs.Metrics.incr m_queries;
-    Obs.Metrics.add m_answers (Relalg.Relation.cardinality answers)
-  end;
+  Obs.Metrics.incr m_queries;
+  Obs.Metrics.add m_answers (Relalg.Relation.cardinality answers);
   Obs.Trace.attr_i trace "rewritings"
     (List.length outcome.Reformulate.rewritings);
   Obs.Trace.attr_i trace "answers" (Relalg.Relation.cardinality answers);

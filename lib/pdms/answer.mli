@@ -11,16 +11,16 @@ type result = {
 
 val answer : ?exec:Exec.t -> Catalog.t -> Cq.Query.t -> result
 (** [exec] ({!Exec.default} when omitted) carries pruning, the domain
-    count and the observability hooks. [exec.jobs > 1] parallelises both
+    count and the span tracer. [exec.jobs > 1] parallelises both
     the reformulation's final subsumption sweep
     ({!Reformulate.reformulate}) and the union evaluation: the
-    {!Cq.Plan} trie walk is sharded across top-level branches over a
-    frozen snapshot of the global database, and the partial answers
-    merge through a shared dedup set. The rewriting list
-    and the answer {e set} are identical for every [exec.jobs]. Opens an
-    ["answer"] span on [exec.trace] with ["reformulate"] (and its
-    ["sweep"]) and ["eval"] children; records [pdms.answer.*] metrics
-    when [exec.metrics] is set. *)
+    {!Cq.Plan} trie walk is sharded across top-level branches over the
+    live global database, frozen first (as {!Distributed.execute}
+    does), and the partial answers merge through a shared dedup set.
+    The rewriting list and the answer {e set} are identical for every
+    [exec.jobs]. Opens an ["answer"] span on [exec.trace] with
+    ["reformulate"] (and its ["sweep"]) and ["eval"] children; records
+    [pdms.answer.*] metrics. *)
 
 val eval_union :
   ?exec:Exec.t -> Relalg.Database.t -> Cq.Query.t list -> Relalg.Relation.t

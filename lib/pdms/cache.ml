@@ -52,23 +52,23 @@ let create ?(capacity = 64) catalog () =
    entry. *)
 let key_of (q : Cq.Query.t) =
   let mapping = Hashtbl.create 8 in
-  let rename = function
-    | Cq.Term.Var x ->
-        let x' =
-          match Hashtbl.find_opt mapping x with
-          | Some x' -> x'
-          | None ->
-              let x' = Printf.sprintf "v%d" (Hashtbl.length mapping) in
-              Hashtbl.replace mapping x x';
-              x'
-        in
-        Cq.Term.Var x'
-    | Cq.Term.Const _ as c -> c
+  let var x =
+    match Hashtbl.find_opt mapping x with
+    | Some x' -> x'
+    | None ->
+        let x' = Printf.sprintf "v%d" (Hashtbl.length mapping) in
+        Hashtbl.replace mapping x x';
+        x'
   in
-  let head = Cq.Atom.map_terms rename q.Cq.Query.head in
-  let body = List.map (Cq.Atom.map_terms rename) q.Cq.Query.body in
-  Cq.Atom.to_string head ^ ":-"
-  ^ String.concat "," (List.map Cq.Atom.to_string body)
+  let buf = Buffer.create 64 in
+  Cq.Atom.add_key buf ~var q.Cq.Query.head;
+  Buffer.add_string buf ":-";
+  List.iteri
+    (fun i a ->
+      if i > 0 then Buffer.add_char buf ';';
+      Cq.Atom.add_key buf ~var a)
+    q.Cq.Query.body;
+  Buffer.contents buf
 
 let reads_of (result : Answer.result) =
   List.concat_map Cq.Query.body_preds result.Answer.outcome.Reformulate.rewritings
@@ -191,7 +191,7 @@ let entry_affected rel_name changed e =
         q.Cq.Query.body)
     e.result.Answer.outcome.Reformulate.rewritings
 
-let invalidate ?(exec = Exec.default) t (u : Updategram.t) =
+let invalidate t (u : Updategram.t) =
   match Hashtbl.find_opt t.by_pred u.Updategram.rel with
   | None -> 0
   | Some bucket ->
@@ -210,7 +210,7 @@ let invalidate ?(exec = Exec.default) t (u : Updategram.t) =
         else (Hashtbl.fold (fun _ e acc -> e :: acc) bucket [], 0)
       in
       List.iter (remove t) victims;
-      if kept > 0 && exec.Exec.metrics then Obs.Metrics.add m_kept kept;
+      Obs.Metrics.add m_kept kept;
       let n = List.length victims in
       t.invalidated_count <- t.invalidated_count + n;
       Obs.Metrics.add m_invalidated n;

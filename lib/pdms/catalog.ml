@@ -206,5 +206,3 @@ let global_db t =
         (Relalg.Database.relations (Peer.stored_db peer)))
     t.peers;
   db
-
-let global_db_snapshot t = Relalg.Database.copy (global_db t)

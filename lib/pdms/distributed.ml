@@ -272,21 +272,19 @@ let execute ?(exec = Exec.default) catalog network ~at query =
       backoff_ms = totals.t_backoff;
     }
   in
-  if exec.Exec.metrics then begin
-    Obs.Metrics.incr m_executes;
-    List.iter
-      (fun p ->
-        if String.equal p.site at then Obs.Metrics.incr m_sites_local
-        else Obs.Metrics.incr m_sites_remote;
-        Obs.Metrics.observe m_fetch_ms p.fetch_ms;
-        Obs.Metrics.observe m_ship_ms p.ship_ms)
-      sites;
-    Obs.Metrics.add m_candidates candidates_total;
-    Obs.Metrics.add m_rejected (candidates_total - List.length planned);
-    if dropped > 0 then begin
-      Obs.Metrics.incr m_partial;
-      Obs.Metrics.add m_dropped dropped
-    end
+  Obs.Metrics.incr m_executes;
+  List.iter
+    (fun p ->
+      if String.equal p.site at then Obs.Metrics.incr m_sites_local
+      else Obs.Metrics.incr m_sites_remote;
+      Obs.Metrics.observe m_fetch_ms p.fetch_ms;
+      Obs.Metrics.observe m_ship_ms p.ship_ms)
+    sites;
+  Obs.Metrics.add m_candidates candidates_total;
+  Obs.Metrics.add m_rejected (candidates_total - List.length planned);
+  if dropped > 0 then begin
+    Obs.Metrics.incr m_partial;
+    Obs.Metrics.add m_dropped dropped
   end;
   Obs.Trace.attr_s trace "at" at;
   Obs.Trace.attr_i trace "answers" (Relalg.Relation.cardinality answers);

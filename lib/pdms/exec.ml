@@ -55,7 +55,6 @@ type t = {
   pruning : pruning;
   retry : retry;
   trace : Obs.Trace.t;
-  metrics : bool;
 }
 
 let default =
@@ -64,9 +63,8 @@ let default =
     pruning = default_pruning;
     retry = default_retry;
     trace = Obs.Trace.null;
-    metrics = true;
   }
 
 let make ?(jobs = 1) ?(pruning = default_pruning) ?(retry = default_retry)
-    ?(trace = Obs.Trace.null) ?(metrics = true) () =
-  { jobs; pruning; retry; trace; metrics }
+    ?(trace = Obs.Trace.null) () =
+  { jobs; pruning; retry; trace }

@@ -1,11 +1,12 @@
 (** Execution contexts for the answer path.
 
-    Every tunable that used to travel as scattered [?pruning]/[?jobs]
-    optional arguments — plus the observability hooks — now rides in one
+    The parallelism, pruning, retry policy and span tracer travel in one
     [Exec.t] record threaded through {!Answer}, {!Reformulate},
     {!Distributed}, {!Keyword}, {!Cache} and {!Propagate}.  Callers that
     don't care pass nothing and get {!default}; callers that do build one
-    context and reuse it across calls. *)
+    context and reuse it across calls.  Metrics are not part of it: every
+    [pdms.*] counter obeys the process-wide {!Obs.Metrics.set_enabled}
+    switch. *)
 
 (** Reformulation pruning heuristics (Section 3.1.1), individually
     switchable for the ablation benchmark.  The record lives here so
@@ -78,15 +79,11 @@ type t = {
   trace : Obs.Trace.t;
       (** span collection; {!Obs.Trace.null} (the default) costs one
           branch per span site *)
-  metrics : bool;
-      (** record [pdms.*] metrics into {!Obs.Metrics} (default [true];
-          increments are batched per phase, not per tuple) *)
 }
 
 val default : t
-(** [jobs = 1], {!default_pruning}, {!default_retry}, no tracing,
-    metrics on. *)
+(** [jobs = 1], {!default_pruning}, {!default_retry}, no tracing. *)
 
 val make :
   ?jobs:int -> ?pruning:pruning -> ?retry:retry -> ?trace:Obs.Trace.t ->
-  ?metrics:bool -> unit -> t
+  unit -> t

@@ -130,7 +130,7 @@ let tuple_tfs tuple =
   in
   Array.of_list (Smap.bindings tf)
 
-let build ?(metrics = true) ~rel_name rel =
+let build ~rel_name rel =
   let peer =
     match Distributed.owner_of_pred rel_name with Some p -> p | None -> ""
   in
@@ -152,14 +152,11 @@ let build ?(metrics = true) ~rel_name rel =
       let ids = Array.of_list (List.map fst l) in
       let tfs = Array.of_list (List.map snd l) in
       let max_tf = Array.fold_left Float.max 0.0 tfs in
-      if metrics then
-        Obs.Metrics.observe h_posting_len (float_of_int (Array.length ids));
+      Obs.Metrics.observe h_posting_len (float_of_int (Array.length ids));
       Hashtbl.replace postings tok { ids; tfs; len = Array.length ids; max_tf })
     acc;
-  if metrics then begin
-    Obs.Metrics.incr m_builds;
-    Obs.Metrics.add m_postings (Hashtbl.length postings)
-  end;
+  Obs.Metrics.incr m_builds;
+  Obs.Metrics.add m_postings (Hashtbl.length postings);
   let n = Array.length tuples in
   {
     uid = Relalg.Relation.uid rel;
@@ -180,13 +177,11 @@ let build ?(metrics = true) ~rel_name rel =
 
 (* {2 Delta patching}  (caller holds [lock]) *)
 
-let tuple_equal a b =
-  Array.length a = Array.length b && Array.for_all2 Relalg.Value.equal a b
-
 let find_live_slot e tuple =
   let rec go i =
     if i >= e.n_slots then None
-    else if e.live.(i) && tuple_equal e.tuples.(i) tuple then Some i
+    else if e.live.(i) && Relalg.Relation.tuple_equal e.tuples.(i) tuple then
+      Some i
     else go (i + 1)
   in
   go 0
@@ -331,7 +326,7 @@ let compact e =
    falls back to a full df merge. *)
 let max_log = 32
 
-let patch ~metrics e rel deltas =
+let patch e rel deltas =
   let touched = Hashtbl.create 16 in
   List.iter
     (fun d ->
@@ -343,9 +338,9 @@ let patch ~metrics e rel deltas =
   e.version <- Relalg.Relation.version rel;
   if e.n_slots - e.doc_count > e.doc_count then begin
     compact e;
-    if metrics then Obs.Metrics.incr m_compactions
+    Obs.Metrics.incr m_compactions
   end;
-  if metrics then Obs.Metrics.add m_patched (Hashtbl.length touched)
+  Obs.Metrics.add m_patched (Hashtbl.length touched)
 
 (* The tokens touched between version [v] and the entry's current
    version, if the log still reaches back to [v]. *)
@@ -376,7 +371,7 @@ let evict_lru () =
   in
   match victim with Some (uid, _) -> Hashtbl.remove store uid | None -> ()
 
-let get ?(metrics = true) ~rel_name rel =
+let get ~rel_name rel =
   let uid = Relalg.Relation.uid rel in
   let version = Relalg.Relation.version rel in
   Mutex.lock lock;
@@ -393,11 +388,11 @@ let get ?(metrics = true) ~rel_name rel =
            refresh here instead of racing on duplicate rebuilds. *)
         match Relalg.Relation.deltas_since rel e.version with
         | Some ds ->
-            patch ~metrics e rel ds;
+            patch e rel ds;
             e.last_used <- now;
             Some e
         | None ->
-            if metrics then Obs.Metrics.incr m_fallbacks;
+            Obs.Metrics.incr m_fallbacks;
             None)
     | None -> None
   in
@@ -407,7 +402,7 @@ let get ?(metrics = true) ~rel_name rel =
   | None ->
       (* Build outside the lock: racing searches may both scan the
          relation, but they write identical entries. *)
-      let e = build ~metrics ~rel_name rel in
+      let e = build ~rel_name rel in
       e.last_used <- now;
       Mutex.lock lock;
       if (not (Hashtbl.mem store uid)) && Hashtbl.length store >= max_entries
@@ -488,7 +483,7 @@ let patched_df entries tokens =
           0 entries ))
     tokens
 
-let corpus ?(metrics = true) entries =
+let corpus entries =
   let uids = List.map (fun e -> e.uid) entries in
   let versions = List.map (fun e -> e.version) entries in
   Mutex.lock lock;
@@ -513,7 +508,7 @@ let corpus ?(metrics = true) entries =
                        <> Int64.bits_of_float (Util.Tfidf.idf m.tfidf tok))
                      tokens)
             in
-            if metrics then Obs.Metrics.incr m_df_patched;
+            Obs.Metrics.incr m_df_patched;
             (c, m.stamp, changed)
         | None -> (Util.Tfidf.of_counts ~n (full_df entries), 0, None)
       in
@@ -527,7 +522,7 @@ let corpus ?(metrics = true) entries =
              (fun i _ -> i < max_memos - 1)
              (List.filter (fun m -> m.uids <> uids) !memos);
       Mutex.unlock lock;
-      if metrics then Obs.Metrics.incr m_df_merges;
+      Obs.Metrics.incr m_df_merges;
       (stamp, tfidf)
 
 (* The one norm fold: [vectorize]'s op order over a slot's tf vector.
@@ -554,7 +549,7 @@ let norm_patch entry ~stamp =
           Some (ns, mn, toks)
       | _ -> None)
 
-let norms ~metrics entry ~stamp c =
+let norms entry ~stamp c =
   match entry.norms with
   | Some (s, ns, mn) when s = stamp -> (ns, mn)
   | _ ->
@@ -581,7 +576,7 @@ let norms ~metrics entry ~stamp c =
                     done
                 | None -> ())
               toks;
-            if metrics then Obs.Metrics.incr m_norms_patched;
+            Obs.Metrics.incr m_norms_patched;
             (ns, min_norm ns)
         | None ->
             let ns =
@@ -594,8 +589,8 @@ let norms ~metrics entry ~stamp c =
       entry.dirty <- [];
       (ns, mn)
 
-let probe ?(metrics = true) entry ~stamp c query_vec =
-  let ns, min_norm = norms ~metrics entry ~stamp c in
+let probe entry ~stamp c query_vec =
+  let ns, min_norm = norms entry ~stamp c in
   let scores = Array.make (max 1 entry.n_slots) 0.0 in
   let seen = Array.make (max 1 entry.n_slots) false in
   let touched = ref [] in

@@ -92,7 +92,7 @@ type probe = {
 val tuple_tokens : Relalg.Relation.tuple -> string list
 (** Tokenised + stemmed values of a tuple, in value order. *)
 
-val get : ?metrics:bool -> rel_name:string -> Relalg.Relation.t -> entry * bool
+val get : rel_name:string -> Relalg.Relation.t -> entry * bool
 (** [get ~rel_name rel] returns the index entry for [rel].  A cached
     entry at the current version is served as-is; a stale one is
     delta-patched under the store lock when the relation's delta log
@@ -100,7 +100,7 @@ val get : ?metrics:bool -> rel_name:string -> Relalg.Relation.t -> entry * bool
     flag is [true] only when a full (re)build happened.  Thread-safe;
     concurrent searches serialise their patching on the store lock. *)
 
-val corpus : ?metrics:bool -> entry list -> int * Util.Tfidf.corpus
+val corpus : entry list -> int * Util.Tfidf.corpus
 (** [corpus entries] merges the per-relation df counts of the given
     (reachable) entries into a global corpus, memoised per reachable
     uid list (a small table of the most recently computed): an unchanged set of
@@ -110,7 +110,6 @@ val corpus : ?metrics:bool -> entry list -> int * Util.Tfidf.corpus
     are keyed on it. *)
 
 val probe :
-  ?metrics:bool ->
   entry -> stamp:int -> Util.Tfidf.corpus -> Util.Tfidf.vector -> probe
 (** [probe entry ~stamp corpus query_vec] accumulates partial dot
     products for the query's tokens over this relation's postings

@@ -82,7 +82,7 @@ let ship ?network ~exec ~prng (u : Updategram.t) r =
 
 let default_prng () = Util.Prng.create 2003
 
-let push ?(exec = Exec.default) ?network ?prng ?tee t (u : Updategram.t) =
+let push ?(exec = Exec.default) ?network ?prng t (u : Updategram.t) =
   let prng = match prng with Some p -> p | None -> default_prng () in
   let dependents =
     List.filter (fun r -> List.mem u.Updategram.rel r.reads) t.registry
@@ -100,17 +100,6 @@ let push ?(exec = Exec.default) ?network ?prng ?tee t (u : Updategram.t) =
       List.iter (fun r -> r.lag <- u :: r.lag) lagging;
       let live_views = List.concat_map (fun r -> r.views) converged in
       let each_view f = List.iter f live_views in
-      (* The mutation below goes tuple by tuple, but the net database
-         change is exactly the effective delta, and the per-tuple order
-         (deletes first, then inserts) matches one Relation.apply of it
-         — so the durability tee records a single replayable
-         write-ahead entry. *)
-      (match tee with
-      | Some f ->
-          let d = Updategram.effective_delta rel u in
-          if not (Relalg.Relation.Delta.is_empty d) then
-            f ~rel:u.Updategram.rel d
-      | None -> ());
       (* The database is shared by every replica, so the mutation
          happens exactly once here; each reachable dependent view
          maintains its counts around it (deletes while the tuple is
@@ -133,8 +122,7 @@ let push ?(exec = Exec.default) ?network ?prng ?tee t (u : Updategram.t) =
                   tuple)
           end)
         u.Updategram.inserts;
-      if exec.Exec.metrics then
-        List.iter (fun _ -> Obs.Metrics.incr m_converged) converged;
+      Obs.Metrics.add m_converged (List.length converged);
       List.map (fun r -> (r.name, r.at)) converged
 
 let lagging t =
@@ -160,7 +148,7 @@ let reconcile ?(exec = Exec.default) ?network ?prng t ~name =
       if delivered then begin
         List.iter View_maintenance.refresh r.views;
         r.lag <- [];
-        if exec.Exec.metrics then Obs.Metrics.incr m_converged
+        Obs.Metrics.incr m_converged
       end;
       delivered
 

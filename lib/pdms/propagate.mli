@@ -35,7 +35,6 @@ val push :
   ?exec:Exec.t ->
   ?network:Network.t ->
   ?prng:Util.Prng.t ->
-  ?tee:(rel:string -> Relalg.Relation.Delta.t -> unit) ->
   t ->
   Updategram.t ->
   (string * string) list
@@ -45,9 +44,7 @@ val push :
     [network], the delta is shipped to each dependent host first
     ([exec.retry] + [prng] drive the retry loop); failed deliveries
     land in the replica's lag queue instead.  Converged replicas are
-    maintained by derivation counting, not recomputation.  [tee] (the
-    durability hook) observes the single effective delta in write-ahead
-    order, exactly as {!Updategram.apply} would record it. *)
+    maintained by derivation counting, not recomputation. *)
 
 val lagging : t -> (string * int) list
 (** Replicas with undelivered updategrams, with their backlog length,

@@ -58,10 +58,10 @@ let canon_names = Array.init 256 (fun i -> "v" ^ string_of_int i)
 let canon_name i = if i < 256 then canon_names.(i) else "v" ^ string_of_int i
 
 (* Alpha-normalise the node: rename variables in first-occurrence order,
-   then sort (atom, history) pairs by the rendered atom. Returns the
+   then sort (atom, history) pairs by the atom's key ({!Atom.add_key},
+   which keeps constants of different types apart). Returns the
    atoms-only key plus the tag vector in that order. All rendering goes
-   through one scratch [Buffer] — the seed built the key from repeated
-   [Atom.to_string] + [String.concat] allocations. *)
+   through one scratch [Buffer]. *)
 let canonical node =
   (* Node widths are a few variables: an association list beats a
      hashtable here. *)
@@ -77,21 +77,7 @@ let canonical node =
         x'
   in
   let buf = Buffer.create 128 in
-  let render_atom (a : Atom.t) =
-    Buffer.add_string buf a.Atom.pred;
-    Buffer.add_char buf '(';
-    List.iteri
-      (fun i t ->
-        if i > 0 then Buffer.add_string buf ", ";
-        match t with
-        | Term.Var x -> Buffer.add_string buf (canon_var x)
-        | Term.Const v ->
-            Buffer.add_char buf '\'';
-            Buffer.add_string buf (Relalg.Value.to_string v);
-            Buffer.add_char buf '\'')
-      a.Atom.args;
-    Buffer.add_char buf ')'
-  in
+  let render_atom = Atom.add_key buf ~var:canon_var in
   (* Renaming is first-occurrence order over head then body, so the head
      must be rendered first to seed the mapping. *)
   render_atom node.head;
@@ -274,12 +260,10 @@ let subsumption_sweep ?(exec = Exec.default) (rewritings : Query.t list) =
       decide (fun i j -> matrix.((i * n) + j))
     end;
     let kept = Array.fold_left (fun acc k -> if k then acc + 1 else acc) 0 keep in
-    if exec.Exec.metrics then begin
-      Obs.Metrics.incr m_sweeps;
-      Obs.Metrics.add m_sweep_tested !tested;
-      Obs.Metrics.add m_sweep_skipped !skipped;
-      Obs.Metrics.add m_sweep_killed (n - kept)
-    end;
+    Obs.Metrics.incr m_sweeps;
+    Obs.Metrics.add m_sweep_tested !tested;
+    Obs.Metrics.add m_sweep_skipped !skipped;
+    Obs.Metrics.add m_sweep_killed (n - kept);
     Obs.Trace.attr_i trace "input" n;
     Obs.Trace.attr_i trace "kept" kept;
     Obs.Trace.attr_i trace "pairs_tested" !tested;
@@ -491,17 +475,15 @@ let reformulate ?(exec = Exec.default) catalog (q : Query.t) =
       lav_invocations = !lav_invocations;
     }
   in
-  if exec.Exec.metrics then begin
-    Obs.Metrics.incr m_runs;
-    Obs.Metrics.add m_expanded stats.nodes_expanded;
-    Obs.Metrics.add m_emitted stats.emitted;
-    Obs.Metrics.add m_pruned_history stats.pruned_history;
-    Obs.Metrics.add m_pruned_visited stats.pruned_visited;
-    Obs.Metrics.add m_pruned_subsumed stats.pruned_subsumed;
-    Obs.Metrics.add m_pruned_depth stats.pruned_depth;
-    Obs.Metrics.add m_lav stats.lav_invocations;
-    Obs.Metrics.add m_lav_views !lav_views
-  end;
+  Obs.Metrics.incr m_runs;
+  Obs.Metrics.add m_expanded stats.nodes_expanded;
+  Obs.Metrics.add m_emitted stats.emitted;
+  Obs.Metrics.add m_pruned_history stats.pruned_history;
+  Obs.Metrics.add m_pruned_visited stats.pruned_visited;
+  Obs.Metrics.add m_pruned_subsumed stats.pruned_subsumed;
+  Obs.Metrics.add m_pruned_depth stats.pruned_depth;
+  Obs.Metrics.add m_lav stats.lav_invocations;
+  Obs.Metrics.add m_lav_views !lav_views;
   Obs.Trace.attr_i trace "expanded" stats.nodes_expanded;
   Obs.Trace.attr_i trace "rewritings" stats.emitted;
   Obs.Trace.attr_i trace "pruned_history" stats.pruned_history;

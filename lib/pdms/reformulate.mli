@@ -53,11 +53,11 @@ type outcome = { rewritings : Cq.Query.t list; stats : stats }
 val reformulate : ?exec:Exec.t -> Catalog.t -> Cq.Query.t -> outcome
 (** The rewritings range over stored predicates only. [exec] carries the
     pruning configuration, the domain count for the final subsumption
-    sweep, and the observability hooks ({!Exec.default} when omitted);
+    sweep, and the span tracer ({!Exec.default} when omitted);
     the rewriting list is identical — same queries, same order — for
     every value of [exec.jobs]. Opens a ["reformulate"] span (with a
     nested ["sweep"]) on [exec.trace] and batches the {!stats} counters
-    into [pdms.reformulate.*] metrics when [exec.metrics] is set. *)
+    into [pdms.reformulate.*] metrics. *)
 
 val subsumption_sweep : ?exec:Exec.t -> Cq.Query.t list -> Cq.Query.t list
 (** The final all-pairs subsumption sweep on its own (exposed for the

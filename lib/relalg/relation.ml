@@ -64,7 +64,6 @@ type t = {
      order, so derived structures can mirror slots stably. *)
   mutable rows_arr : tuple array;
   mutable count_slots : int;
-  mutable count : int;  (* = count_slots; kept for clarity of intent *)
   (* Memoised oldest-first list view of the rows, keyed by version. *)
   mutable rows_list : (int * tuple list) option;
   (* Multiplicity per distinct tuple: O(1) [mem]. *)
@@ -100,7 +99,6 @@ let create schema =
     version = 0;
     rows_arr = [||];
     count_slots = 0;
-    count = 0;
     rows_list = None;
     members = Tset.create 16;
     indexes = Hashtbl.create 4;
@@ -114,7 +112,7 @@ let create schema =
 let schema t = t.schema
 let uid t = t.uid
 let version t = t.version
-let cardinality t = t.count
+let cardinality t = t.count_slots
 let delta_floor t = t.log_floor
 
 let drop_indexes t =
@@ -144,7 +142,6 @@ let append_row t row =
   grow t;
   t.rows_arr.(t.count_slots) <- row;
   t.count_slots <- t.count_slots + 1;
-  t.count <- t.count + 1;
   Tset.replace t.members row
     (1 + Option.value ~default:0 (Tset.find_opt t.members row));
   (* Live indexes absorb the row instead of being invalidated. *)
@@ -175,7 +172,6 @@ let remove_rows t dels =
       let pending = Option.value ~default:0 (Tset.find_opt wanted row) in
       if pending > 0 then begin
         Tset.replace wanted row (pending - 1);
-        t.count <- t.count - 1;
         (match Tset.find_opt t.members row with
         | Some 1 -> Tset.remove t.members row
         | Some m -> Tset.replace t.members row (m - 1)
@@ -236,11 +232,6 @@ let deltas_since t since =
          (t.log_front @ List.rev t.log_back)
        |> List.map snd)
 
-let delta_since t since =
-  match deltas_since t since with
-  | None -> None
-  | Some ds -> Some (List.fold_left Delta.compose Delta.empty ds)
-
 let tuples t =
   match t.rows_list with
   | Some (v, l) when v = t.version -> l
@@ -262,7 +253,7 @@ let fold f init t =
   !acc
 
 let build_index t col =
-  let idx = Hashtbl.create (max 16 t.count) in
+  let idx = Hashtbl.create (max 16 t.count_slots) in
   (* Newest-first within each bucket, as incremental [index_push]
      maintains it. *)
   for i = 0 to t.count_slots - 1 do
@@ -321,7 +312,6 @@ let clear t =
   t.version <- t.version + 1;
   t.rows_arr <- [||];
   t.count_slots <- 0;
-  t.count <- 0;
   t.rows_list <- None;
   Tset.reset t.members;
   drop_indexes t;
@@ -334,7 +324,7 @@ let clear t =
   t.log_floor <- t.version
 
 let pp fmt t =
-  Format.fprintf fmt "%a [%d rows]" Schema.pp t.schema t.count;
+  Format.fprintf fmt "%a [%d rows]" Schema.pp t.schema t.count_slots;
   List.iteri
     (fun i row ->
       if i < 20 then

@@ -15,6 +15,9 @@
 type tuple = Value.t array
 type t
 
+val tuple_equal : tuple -> tuple -> bool
+(** Same arity and {!Value.equal} position by position. *)
+
 (** First-class change descriptions: what {!apply} consumes and what
     the retained log stores.  [adds] and [dels] are multisets (a tuple
     may appear several times); applying means "remove one copy per
@@ -80,11 +83,6 @@ val deltas_since : t -> int -> Delta.t list option
     [v = version t] — or [None] when the log no longer reaches back to
     [v] (capacity truncation, or a [clear]), in which case the caller
     must rebuild from the current contents. *)
-
-val delta_since : t -> int -> Delta.t option
-(** {!deltas_since} folded with {!Delta.compose} — convenient for
-    consumers that don't need positional replay (statistics, caches,
-    shipping to replicas). *)
 
 val delta_floor : t -> int
 (** Oldest version still reconstructible from the delta log;

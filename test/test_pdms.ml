@@ -75,6 +75,40 @@ let test_definitional_mapping () =
   check_i "one course" 1
     (Relalg.Relation.cardinality (P.Answer.answer catalog query).P.Answer.answers)
 
+(* Two definitional mappings that differ only in the type of a constant
+   ([1] against ['1']) lead to two different goals; the goal memo must
+   not take one for the other. *)
+let test_typed_constants_stay_apart () =
+  let catalog = P.Catalog.create () in
+  let a = P.Peer.create ~name:"a" ~schema:[ ("r", [ "x"; "y" ]) ] in
+  let b = P.Peer.create ~name:"b" ~schema:[ ("s", [ "x"; "y"; "z" ]) ] in
+  let c = P.Peer.create ~name:"c" ~schema:[ ("t", [ "x"; "y"; "z" ]) ] in
+  List.iter (P.Catalog.add_peer catalog) [ a; b; c ];
+  let stored = P.Catalog.store_identity catalog c ~rel:"t" in
+  insert stored [| vs "k1"; vs "v1"; Relalg.Value.Int 1 |];
+  insert stored [| vs "k2"; vs "v2"; vs "1" |];
+  let define head body =
+    ignore
+      (P.Catalog.add_mapping catalog (P.Peer_mapping.definitional (q head body)))
+  in
+  let xy = [ v "X"; v "Y" ] in
+  define (P.Peer.atom a "r" xy) [ P.Peer.atom b "s" (xy @ [ Term.int 1 ]) ];
+  define (P.Peer.atom a "r" xy) [ P.Peer.atom b "s" (xy @ [ Term.str "1" ]) ];
+  define
+    (P.Peer.atom b "s" (xy @ [ v "Z" ]))
+    [ P.Peer.atom c "t" (xy @ [ v "Z" ]) ];
+  let query = q (atom "ans" xy) [ P.Peer.atom a "r" xy ] in
+  let answers pruning =
+    P.Answer.answers_list
+      (P.Answer.answer ~exec:(P.Exec.make ~pruning ()) catalog query)
+  in
+  let expected = [ [ "k1"; "v1" ]; [ "k2"; "v2" ] ] in
+  Alcotest.(check (list (list string)))
+    "without the goal memo" expected
+    (answers { P.Exec.default_pruning with P.Exec.use_goal_memo = false });
+  Alcotest.(check (list (list string)))
+    "default pruning" expected (answers P.Exec.default_pruning)
+
 (* Chain of equalities: peer0 - peer1 - ... - peer_{n-1}; data lives at
    the last peer; query at peer0 must traverse the transitive closure. *)
 let chain_catalog n =
@@ -1322,6 +1356,27 @@ let prop_cache_lru_reference_model =
 
 (* Invalidation removes exactly the entries whose rewritings read the
    updated predicate: independent peers, one entry each. *)
+(* Cache keys keep constants of different types apart: once
+   [c.t!(X, 1)] is cached, [c.t!(X, '1')] must get its own answers. *)
+let test_cache_typed_constants () =
+  let catalog = P.Catalog.create () in
+  let c = P.Peer.create ~name:"c" ~schema:[ ("t", [ "k"; "z" ]) ] in
+  P.Catalog.add_peer catalog c;
+  let stored = P.Catalog.store_identity catalog c ~rel:"t" in
+  insert stored [| vs "k1"; Relalg.Value.Int 1 |];
+  insert stored [| vs "k2"; vs "1" |];
+  let cache = P.Cache.create catalog () in
+  List.iter
+    (fun (label, z) ->
+      let query =
+        q (atom "ans" [ v "X" ]) [ atom (P.Peer.stored_pred c "t") [ v "X"; z ] ]
+      in
+      Alcotest.(check (list (list string)))
+        label
+        (P.Answer.answers_list (P.Answer.answer catalog query))
+        (P.Answer.answers_list (P.Cache.answer cache query)))
+    [ ("int constant", Term.int 1); ("string constant", Term.str "1") ]
+
 let test_cache_invalidate_exact () =
   let catalog = P.Catalog.create () in
   let peers =
@@ -1678,6 +1733,53 @@ let test_persist_init_apply_reopen () =
     (P.Persist.wal_seq t' >= 1);
   P.Persist.close t';
   check_b "fsck passes" true (P.Persist.fsck_ok (P.Persist.fsck dir))
+
+(* Parallel answering freezes the live relations in place: answers
+   taken at [jobs] 2, then after each update at [jobs] 1 and 2, must all
+   equal the reference semantics. *)
+let test_parallel_answers_follow_updates () =
+  let _, t, _ = six_university_persist 17 in
+  let catalog = P.Persist.catalog t in
+  let db = P.Persist.db t in
+  let query =
+    Workload.University.course_query (P.Catalog.peer catalog "stanford")
+  in
+  let check label jobs =
+    let expected = P.Answer.answers_list (Reference.answer catalog query) in
+    Alcotest.(check (list (list string)))
+      (Printf.sprintf "%s, jobs=%d" label jobs)
+      expected
+      (P.Answer.answers_list
+         (P.Answer.answer ~exec:(P.Exec.make ~jobs ()) catalog query));
+    expected
+  in
+  let initial = check "before updates" 2 in
+  let reads =
+    (Reference.answer catalog query).P.Answer.outcome.P.Reformulate.rewritings
+    |> List.concat_map Query.body_preds
+    |> List.sort_uniq String.compare
+  in
+  List.iteri
+    (fun i rel_name ->
+      let rel = Relalg.Database.find db rel_name in
+      let old = List.hd (Relalg.Relation.tuples rel) in
+      let renamed =
+        Array.map
+          (function
+            | Relalg.Value.Str s -> vs (Printf.sprintf "%s (%d)" s i)
+            | value -> value)
+          old
+      in
+      let u =
+        P.Updategram.make ~rel:rel_name ~inserts:[ renamed ] ~deletes:[ old ] ()
+      in
+      if i mod 2 = 0 then P.Persist.apply t u else P.Updategram.apply db u;
+      let label = Printf.sprintf "after update %d" i in
+      ignore (check label 1);
+      ignore (check label 2))
+    reads;
+  check_b "updates are visible" true (check "after all updates" 2 <> initial);
+  P.Persist.close t
 
 (* The WAL append is traced inside the update's own span tree. *)
 let test_persist_apply_traces_wal_append () =
@@ -2372,9 +2474,11 @@ let test_lav_views_counter () =
   let mappings = P.Catalog.mapping_count g.Workload.Peers_gen.catalog in
   check_b "fewer views per LAV step than the catalog has mappings" true
     (delta < o.P.Reformulate.stats.P.Reformulate.lav_invocations * mappings);
-  let off = P.Exec.make ~metrics:false () in
   let before = counted () in
-  ignore (P.Reformulate.reformulate ~exec:off g.Workload.Peers_gen.catalog query);
+  Obs.Metrics.set_enabled false;
+  Fun.protect
+    ~finally:(fun () -> Obs.Metrics.set_enabled true)
+    (fun () -> ignore (P.Reformulate.reformulate g.Workload.Peers_gen.catalog query));
   check_i "nothing counted with metrics off" before (counted ())
 
 let () =
@@ -2385,6 +2489,8 @@ let () =
          Alcotest.test_case "inclusion directionality" `Quick
            test_two_peer_inclusion_directionality;
          Alcotest.test_case "definitional mapping" `Quick test_definitional_mapping;
+         Alcotest.test_case "typed constants stay apart" `Quick
+           test_typed_constants_stay_apart;
          Alcotest.test_case "chain transitive closure" `Quick test_chain_transitive_closure;
          Alcotest.test_case "linear mapping count" `Quick test_chain_mapping_count_linear;
          Alcotest.test_case "reachability" `Quick test_reachability;
@@ -2450,6 +2556,8 @@ let () =
            test_cache_lru_touch_protects;
          Alcotest.test_case "invalidate exact" `Quick
            test_cache_invalidate_exact;
+         Alcotest.test_case "typed constants stay apart" `Quick
+           test_cache_typed_constants;
          Alcotest.test_case "delta probe keeps unaffected entries" `Quick
            test_cache_delta_probe ]
        @ qc [ prop_cache_lru_reference_model ]);
@@ -2467,6 +2575,8 @@ let () =
            test_persist_init_apply_reopen;
          Alcotest.test_case "apply traces the wal append" `Quick
            test_persist_apply_traces_wal_append;
+         Alcotest.test_case "parallel answers follow updates" `Quick
+           test_parallel_answers_follow_updates;
          Alcotest.test_case "fsck detects damage" `Quick
            test_persist_fsck_detects_damage;
          Alcotest.test_case "kill-point sweep" `Quick
