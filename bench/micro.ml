@@ -70,6 +70,33 @@ let test_reformulate_mesh =
   Test.make ~name:"pdms:reformulate-mesh2-12-join"
     (Staged.stage (fun () -> ignore (Pdms.Reformulate.reformulate catalog query)))
 
+(* The univ-join profile workload's evaluation step: the Figure-2
+   catalog at 1000 courses per peer, the course-instructor join posed at
+   the first peer, planned once. One run is one trie walk of its 36
+   rewritings into a fresh accumulator. Built on demand: the catalog
+   takes a moment, which the other bench commands need not pay. *)
+let test_plan_univ () =
+  let d =
+    Workload.University.build_delearning (Util.Prng.create 1)
+      ~courses_per_peer:1000
+  in
+  let catalog = d.Workload.University.catalog in
+  let query =
+    Workload.University.course_instructor_query
+      (snd (List.hd d.Workload.University.peers))
+  in
+  let rewritings =
+    (Pdms.Reformulate.reformulate catalog query).Pdms.Reformulate.rewritings
+  in
+  let db = Pdms.Catalog.global_db catalog in
+  let plan = Cq.Plan.build db rewritings in
+  let schema = Cq.Eval.head_schema (List.hd rewritings) in
+  Test.make ~name:"cq:plan-univ-join"
+    (Staged.stage (fun () ->
+         ignore
+           (Cq.Plan.run_union_into (Relalg.Relation.create schema) db plan
+             : int list)))
+
 let triple_fixture =
   let prng = Util.Prng.create 42 in
   let repo = Mangrove.Repository.create () in
@@ -154,8 +181,9 @@ let test_lsd_predict =
 let run () =
   let tests =
     Test.make_grouped ~name:"revere"
-      [ test_minicon; test_reformulate; test_reformulate_mesh; test_triple_query;
-        test_view_maintenance; test_stemmer; test_lsd_predict ]
+      [ test_minicon; test_reformulate; test_reformulate_mesh; test_plan_univ ();
+        test_triple_query; test_view_maintenance; test_stemmer;
+        test_lsd_predict ]
   in
   let ols =
     Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]

@@ -1,15 +1,34 @@
 (** Shared-prefix batch evaluation of a rewriting union.
 
     [build] orders every body with the stats-aware {!Eval.order_atoms},
-    alpha-normalises it (variables renamed by first occurrence over the
-    ordered body, heads mapped through the same renaming), and folds the
-    ordered bodies into a prefix trie: each query is one root-to-leaf
+    alpha-normalises it (variables numbered by first occurrence over
+    the ordered body, heads mapped through the same numbering), and
+    folds the ordered bodies into a prefix trie: each query is one root-to-leaf
     path, internal nodes are shared join prefixes, and the node where a
     body ends carries the query's head template. Alpha-equivalent
     prefixes — the common case for sibling rewritings unfolded from the
     same mapping chains — collapse onto one path, and fully identical
     (body, head) queries collapse onto one emit point, so evaluation
     computes every shared prefix binding set exactly once.
+
+    The trie is a compiled slot kernel. Variable [i] lives in slot [i]
+    of one mutable value array per walk; every argument position is
+    tagged as a constant, a slot bound by an ancestor, a slot bound
+    here or a repeat within the atom (this compiled atom is also the
+    trie key), and every head term as a constant, a slot or unbound
+    (resolved from the numbering, so an unsafe head raises
+    [Invalid_argument] at its first emit, as {!Eval.run} does). Slot liveness is computed once: a slot
+    bound at a node is dead when no emit at or under the node and no
+    atom below it reads it. At a node with a dead slot, matching rows
+    that agree on the live slots are walked once per group, in
+    first-occurrence order, with the group size carried as a
+    multiplicity. Rows that agree on the live slots produce identical
+    subtrees, so the answer set, the output's insertion order, the
+    per-query counts and [cq.plan.bindings_reused] are exactly those of
+    the row-at-a-time walk. Each emit probes one tuple-keyed set
+    ({!Relalg.Relation.Tbl}) and copies its scratch head only when the
+    tuple is new; the output is materialised with one
+    {!Relalg.Relation.apply} per walk.
 
     Evaluation walks the trie depth-first; with [jobs > 1] the walk is
     sharded across top-level branches with {!Util.Pool} and per-branch
@@ -19,8 +38,10 @@
 
     Instrumentation: [cq.plan.builds], [cq.plan.nodes],
     [cq.plan.shared_prefix_atoms] and [cq.plan.bindings_reused]
-    counters, a [cq.plan.depth] histogram of per-query path depths, and
-    [plan] / [trie_eval] spans on the caller's tracer. *)
+    counters (plus [cq.eval.arity_mismatch] for atoms whose arity
+    disagrees with the stored relation), a [cq.plan.depth] histogram of
+    per-query path depths, and [plan] / [trie_eval] spans on the
+    caller's tracer. *)
 
 type t
 
@@ -47,11 +68,13 @@ val stats : t -> build_stats
 val run_union_into :
   ?jobs:int -> ?trace:Obs.Trace.t -> Relalg.Relation.t ->
   Relalg.Database.t -> t -> int list
-(** Walk the trie once, [insert_distinct]-ing every head tuple into the
-    shared accumulator, exactly like {!Eval.run_union_into} over the
-    original list. Returns per-query pre-dedup tuple counts in input
-    order — equal to [|Eval.run_bindings q|] per query and independent
-    of [jobs]. With [jobs > 1] the caller must have frozen [db]. *)
+(** Walk the trie once and append every head tuple the accumulator does
+    not hold yet, in first-emission order — the same distinct contents
+    as {!Eval.run_union_into} over the original list, in one
+    {!Relalg.Relation.apply}. Returns per-query pre-dedup tuple counts
+    in input order — equal to [|Eval.run_bindings q|] per query and
+    independent of [jobs]. Raises [Invalid_argument] when an unsafe
+    query emits. With [jobs > 1] the caller must have frozen [db]. *)
 
 val run_each :
   ?jobs:int -> ?trace:Obs.Trace.t -> Relalg.Database.t -> t ->
@@ -60,4 +83,5 @@ val run_each :
     relation (schema from {!Eval.head_schema}), in input order —
     equivalent to [List.map (Eval.run db)] over the original list. Used
     by the distributed executor, which sizes per-rewriting shipments.
-    With [jobs > 1] the caller must have frozen [db]. *)
+    Raises [Invalid_argument] when an unsafe query emits. With
+    [jobs > 1] the caller must have frozen [db]. *)

@@ -17,16 +17,12 @@ let m_converged = Obs.Metrics.counter "pdms.delta.replicas_converged"
 let create catalog = { catalog; db = Catalog.global_db catalog; registry = [] }
 
 let distinct_tuples views =
-  let seen = Hashtbl.create 64 in
+  let seen = Relalg.Relation.Tbl.create 64 in
   List.concat_map View_maintenance.tuples views
   |> List.filter (fun tuple ->
-         let key =
-           String.concat "\x00"
-             (Array.to_list (Array.map Relalg.Value.to_string tuple))
-         in
-         if Hashtbl.mem seen key then false
+         if Relalg.Relation.Tbl.mem seen tuple then false
          else begin
-           Hashtbl.replace seen key ();
+           Relalg.Relation.Tbl.replace seen tuple ();
            true
          end)
 

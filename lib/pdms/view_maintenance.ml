@@ -1,19 +1,15 @@
 open Cq
 
 module Smap = Eval.Smap
+module Tbl = Relalg.Relation.Tbl
 
 type t = {
   view : Query.t;
   db : Relalg.Database.t;
   exec : Exec.t;
-  (* rendered head tuple -> (derivation count, the tuple itself) *)
-  counts : (string, int * Relalg.Relation.tuple) Hashtbl.t;
+  counts : int Tbl.t;  (* head tuple -> derivation count *)
   mutable delta_bindings : int;
 }
-
-let render tuple =
-  String.concat "\x00"
-    (Array.to_list (Array.map Relalg.Value.to_string tuple))
 
 let head_tuple (view : Query.t) resolve =
   Array.of_list
@@ -29,14 +25,12 @@ let resolve_with (b : Relalg.Value.t Smap.t) = function
   | Term.Var x -> Smap.find_opt x b
 
 let bump counts tuple delta =
-  let key = render tuple in
-  let current = match Hashtbl.find_opt counts key with Some (c, _) -> c | None -> 0 in
+  let current = Option.value ~default:0 (Tbl.find_opt counts tuple) in
   let next = current + delta in
-  if next <= 0 then Hashtbl.remove counts key
-  else Hashtbl.replace counts key (next, tuple)
+  if next <= 0 then Tbl.remove counts tuple else Tbl.replace counts tuple next
 
 let recompute_counts t =
-  Hashtbl.reset t.counts;
+  Tbl.reset t.counts;
   List.iter
     (fun b -> bump t.counts (head_tuple t.view (resolve_with b)) 1)
     (Eval.run_bindings t.db t.view)
@@ -44,13 +38,13 @@ let recompute_counts t =
 let create ?(exec = Exec.default) db view =
   if not (Query.is_safe view) then
     invalid_arg "View_maintenance.create: unsafe view";
-  let t = { view; db; exec; counts = Hashtbl.create 64; delta_bindings = 0 } in
+  let t = { view; db; exec; counts = Tbl.create 64; delta_bindings = 0 } in
   recompute_counts t;
   t
 
 let query t = t.view
-let tuples t = Hashtbl.fold (fun _ (_, tuple) acc -> tuple :: acc) t.counts []
-let cardinality t = Hashtbl.length t.counts
+let tuples t = Tbl.fold (fun tuple _ acc -> tuple :: acc) t.counts []
+let cardinality t = Tbl.length t.counts
 
 (* Substitution grounding one body atom to a concrete tuple. *)
 let ground_atom_subst (atom : Atom.t) tuple =
@@ -70,9 +64,11 @@ let ground_atom_subst (atom : Atom.t) tuple =
 
 (* All derivations that use [tuple] in relation [rel] at some body-atom
    occurrence, deduplicated across occurrences by the full variable
-   assignment. Must be called while [tuple] is present in the db. *)
+   assignment (every derivation binds all body variables, so the values
+   in variable-name order identify it). Must be called while [tuple] is
+   present in the db. *)
 let derivations_using t rel tuple =
-  let seen = Hashtbl.create 8 in
+  let seen = Tbl.create 8 in
   let results = ref [] in
   List.iteri
     (fun i (atom : Atom.t) ->
@@ -96,14 +92,9 @@ let derivations_using t rel tuple =
                       | Term.Var _ -> acc)
                     b (Subst.bindings subst)
                 in
-                let key =
-                  String.concat ";"
-                    (List.map
-                       (fun (x, v) -> x ^ "=" ^ Relalg.Value.to_string v)
-                       (Smap.bindings full))
-                in
-                if not (Hashtbl.mem seen key) then begin
-                  Hashtbl.replace seen key ();
+                let key = Array.of_list (List.map snd (Smap.bindings full)) in
+                if not (Tbl.mem seen key) then begin
+                  Tbl.replace seen key ();
                   results := full :: !results
                 end)
               (Eval.run_bindings t.db sub_query))

@@ -5,9 +5,13 @@ let tuple_equal a b = Array.length a = Array.length b && Array.for_all2 Value.eq
 (* Hash consistent with [tuple_equal]: Value.equal is structural, so a
    fold over Value.hash agrees on equal tuples. *)
 let tuple_hash (row : tuple) =
-  Array.fold_left (fun acc v -> (acc * 31) + Value.hash v) 17 row
+  let h = ref 17 in
+  for i = 0 to Array.length row - 1 do
+    h := (!h * 31) + Value.hash row.(i)
+  done;
+  !h
 
-module Tset = Hashtbl.Make (struct
+module Tbl = Hashtbl.Make (struct
   type t = tuple
 
   let equal = tuple_equal
@@ -67,7 +71,7 @@ type t = {
   (* Memoised oldest-first list view of the rows, keyed by version. *)
   mutable rows_list : (int * tuple list) option;
   (* Multiplicity per distinct tuple: O(1) [mem]. *)
-  members : int Tset.t;
+  mutable members : int Tbl.t;
   (* col -> (value -> tuples). Built lazily, then maintained
      incrementally on insert; dropped wholesale on delete/clear. *)
   mutable indexes : (int, (Value.t, tuple list) Hashtbl.t) Hashtbl.t;
@@ -100,7 +104,7 @@ let create schema =
     rows_arr = [||];
     count_slots = 0;
     rows_list = None;
-    members = Tset.create 16;
+    members = Tbl.create 16;
     indexes = Hashtbl.create 4;
     log_front = [];
     log_back = [];
@@ -142,39 +146,40 @@ let append_row t row =
   grow t;
   t.rows_arr.(t.count_slots) <- row;
   t.count_slots <- t.count_slots + 1;
-  Tset.replace t.members row
-    (1 + Option.value ~default:0 (Tset.find_opt t.members row));
+  Tbl.replace t.members row
+    (1 + Option.value ~default:0 (Tbl.find_opt t.members row));
   (* Live indexes absorb the row instead of being invalidated. *)
-  Hashtbl.iter (fun col idx -> index_push idx row.(col) row) t.indexes
+  if Hashtbl.length t.indexes > 0 then
+    Hashtbl.iter (fun col idx -> index_push idx row.(col) row) t.indexes
 
-let mem t row = Tset.mem t.members row
+let mem t row = Tbl.mem t.members row
 
 (* Remove one copy per del occurrence (multiset subtraction), lowest
    slot first, in a single order-preserving compaction pass.  Returns
    the effective removals (absent tuples are dropped). *)
 let remove_rows t dels =
-  let wanted = Tset.create (max 4 (List.length dels)) in
+  let wanted = Tbl.create (max 4 (List.length dels)) in
   let effective = ref [] in
   List.iter
     (fun row ->
-      let have = Option.value ~default:0 (Tset.find_opt t.members row) in
-      let already = Option.value ~default:0 (Tset.find_opt wanted row) in
+      let have = Option.value ~default:0 (Tbl.find_opt t.members row) in
+      let already = Option.value ~default:0 (Tbl.find_opt wanted row) in
       if already < have then begin
-        Tset.replace wanted row (already + 1);
+        Tbl.replace wanted row (already + 1);
         effective := row :: !effective
       end)
     dels;
-  if Tset.length wanted = 0 then []
+  if Tbl.length wanted = 0 then []
   else begin
     let dst = ref 0 in
     for src = 0 to t.count_slots - 1 do
       let row = t.rows_arr.(src) in
-      let pending = Option.value ~default:0 (Tset.find_opt wanted row) in
+      let pending = Option.value ~default:0 (Tbl.find_opt wanted row) in
       if pending > 0 then begin
-        Tset.replace wanted row (pending - 1);
-        (match Tset.find_opt t.members row with
-        | Some 1 -> Tset.remove t.members row
-        | Some m -> Tset.replace t.members row (m - 1)
+        Tbl.replace wanted row (pending - 1);
+        (match Tbl.find_opt t.members row with
+        | Some 1 -> Tbl.remove t.members row
+        | Some m -> Tbl.replace t.members row (m - 1)
         | None -> ())
       end
       else begin
@@ -214,7 +219,14 @@ let log_push t entry tuples =
 let apply t (d : Delta.t) =
   List.iter (check_arity "apply (del)" t) d.Delta.dels;
   List.iter (check_arity "apply (add)" t) d.Delta.adds;
-  let dels = remove_rows t d.Delta.dels in
+  (* Add-only deltas (the common case) skip the removal pass. *)
+  let dels = if d.Delta.dels = [] then [] else remove_rows t d.Delta.dels in
+  (* A bulk load into an empty relation sizes the member table once,
+     at the bucket count its doublings would end at (a table grows when
+     it holds twice its buckets), instead of rehashing through each. *)
+  (if t.count_slots = 0 then
+     let n = List.length d.Delta.adds in
+     if n > 64 then t.members <- Tbl.create (n / 2));
   List.iter (append_row t) d.Delta.adds;
   if not (dels = [] && d.Delta.adds = []) then begin
     t.version <- t.version + 1;
@@ -283,16 +295,17 @@ let find_by_bound t bound =
          columns are the caller's to verify (the evaluator re-checks
          every position anyway). *)
       let postings =
-        List.map (fun (col, v) -> ((col, v), find_by t col v)) bound
+        List.map
+          (fun (col, v) ->
+            let rows = find_by t col v in
+            (List.length rows, (col, v), rows))
+          bound
       in
       let sorted =
-        List.sort
-          (fun (_, a) (_, b) ->
-            compare (List.length a) (List.length b))
-          postings
+        List.stable_sort (fun (a, _, _) (b, _, _) -> Int.compare a b) postings
       in
       (match sorted with
-      | (_, best) :: ((col2, v2), _) :: _ ->
+      | (_, _, best) :: (_, (col2, v2), _) :: _ ->
           List.filter (fun row -> Value.equal row.(col2) v2) best
       | _ -> assert false)
 
@@ -313,7 +326,7 @@ let clear t =
   t.rows_arr <- [||];
   t.count_slots <- 0;
   t.rows_list <- None;
-  Tset.reset t.members;
+  Tbl.reset t.members;
   drop_indexes t;
   (* The log cannot express "everything went away" compactly; truncate
      it so consumers rebuild. *)

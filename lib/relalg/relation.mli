@@ -18,6 +18,12 @@ type t
 val tuple_equal : tuple -> tuple -> bool
 (** Same arity and {!Value.equal} position by position. *)
 
+module Tbl : Hashtbl.S with type key = tuple
+(** Hash tables keyed on whole tuples under {!tuple_equal} — the
+    structure behind {!mem}.  Use it wherever tuples are deduplicated or
+    counted: keys never pass through a rendering, so [Int 1] and
+    [Str "1"] stay apart. *)
+
 (** First-class change descriptions: what {!apply} consumes and what
     the retained log stores.  [adds] and [dels] are multisets (a tuple
     may appear several times); applying means "remove one copy per

@@ -612,6 +612,132 @@ let prop_plan_matches_per_rewriting =
       in
       check_jobs 1 && check_jobs 3)
 
+(* Bag relations (repeated rows, loaded with [apply]) and an arity-3
+   relation, so that the kernel's grouping paths see dead slots next to
+   one or two live ones, group sizes above one and multiplicities that
+   multiply along a path. Heads take 0–2 terms from the body's
+   variables and constants; all queries of a union share one arity. *)
+let gen_bag_db =
+  QCheck.Gen.(
+    let small = int_bound 2 in
+    triple
+      (list_size (int_range 0 8) (pair small small))
+      (list_size (int_range 0 6) small)
+      (list_size (int_range 0 10) (triple small small small))
+    >>= fun (rs, ts, us) ->
+    return
+      (let db = Relalg.Database.create () in
+       let load name attrs rows =
+         Relalg.Relation.apply
+           (Relalg.Database.create_relation db name attrs)
+           (Relalg.Relation.Delta.of_rows rows)
+       in
+       let i n = Relalg.Value.Int n in
+       (* Every row twice over for the first half: duplicates for sure. *)
+       let bag rows = rows @ List.filteri (fun k _ -> k mod 2 = 0) rows in
+       load "r" [ "a"; "b" ] (bag (List.map (fun (a, b) -> [| i a; i b |]) rs));
+       load "t" [ "a" ] (bag (List.map (fun a -> [| i a |]) ts));
+       load "u" [ "a"; "b"; "c" ]
+         (bag (List.map (fun (a, b, c) -> [| i a; i b; i c |]) us));
+       db))
+
+let gen_bag_union =
+  QCheck.Gen.(
+    let term =
+      frequency
+        [ (5, map (fun k -> Term.v (Printf.sprintf "V%d" k)) (int_bound 3));
+          (1, map Term.int (int_bound 2)) ]
+    in
+    let body_atom =
+      frequency
+        [ (2, map2 (fun a b -> atom "r" [ a; b ]) term term);
+          (1, map (fun a -> atom "t" [ a ]) term);
+          (2, map3 (fun a b c -> atom "u" [ a; b; c ]) term term term) ]
+    in
+    let query arity =
+      list_size (int_range 1 3) body_atom >>= fun body ->
+      let pool =
+        List.map Term.v (List.concat_map Atom.vars body) @ [ Term.int 1 ]
+      in
+      list_repeat arity (oneofl pool) >>= fun head ->
+      return (q (atom "ans" head) body)
+    in
+    int_bound 2 >>= fun arity -> list_size (int_range 1 6) (query arity))
+
+let prop_plan_grouping_matches_per_rewriting =
+  QCheck.Test.make
+    ~name:"trie batch = per-rewriting union on bags (grouped walks)" ~count:300
+    QCheck.(
+      pair
+        (make ~print:(fun _ -> "<db>") gen_bag_db)
+        (make
+           ~print:(fun qs -> String.concat "; " (List.map Query.to_string qs))
+           gen_bag_union))
+    (fun (db, qs) ->
+      let q0 = List.hd qs in
+      let base = Relalg.Relation.create (Eval.head_schema q0) in
+      let base_counts =
+        List.map (fun qq -> Eval.run_union_into base db [ qq ]) qs
+      in
+      let check_jobs jobs =
+        if jobs > 1 then Relalg.Database.freeze db;
+        let plan = Plan.build db qs in
+        let out = Relalg.Relation.create (Eval.head_schema q0) in
+        let counts = Plan.run_union_into ~jobs out db plan in
+        rel_rows out = rel_rows base && counts = base_counts
+      in
+      check_jobs 1 && check_jobs 3)
+
+(* r's second column is dead (nothing after it reads Y) and repeats
+   under key X = 1, so the walk visits t once per distinct X with the
+   group size as multiplicity; bindings_reused still counts every
+   binding the per-row walk would have shared. *)
+let test_plan_grouped_bindings_reused () =
+  let db = Relalg.Database.create () in
+  let r = Relalg.Database.create_relation db "r" [ "a"; "b" ] in
+  let t = Relalg.Database.create_relation db "t" [ "a" ] in
+  let i n = Relalg.Value.Int n in
+  Relalg.Relation.apply r
+    (Relalg.Relation.Delta.of_rows
+       [ [| i 1; i 10 |]; [| i 1; i 11 |]; [| i 1; i 12 |]; [| i 2; i 10 |] ]);
+  Relalg.Relation.apply t
+    (Relalg.Relation.Delta.of_rows
+       (List.map (fun a -> [| i a |]) [ 1; 1; 2; 3; 4; 5 ]));
+  let body = [ atom "r" [ v "X"; v "Y" ]; atom "t" [ v "X" ] ] in
+  let q1 = q (atom "ans" [ v "X" ]) body in
+  let q2 = q (atom "ans" [ Term.int 1 ]) body in
+  let plan = Plan.build db [ q1; q2 ] in
+  let reused () =
+    Obs.Metrics.counter_value (Obs.Metrics.snapshot ()) "cq.plan.bindings_reused"
+  in
+  let before = reused () in
+  let out = Relalg.Relation.create (Eval.head_schema q1) in
+  let counts = Plan.run_union_into out db plan in
+  (* r: 4 rows shared by 2 queries (4); t under X = 1: 3 copies × 2
+     rows (6); t under X = 2: 1 × 1 (1). *)
+  check_i "bindings reused" 11 (reused () - before);
+  check_b "per-query counts" true (counts = [ 7; 7 ])
+
+(* A head variable absent from the body is unsafe even when its name
+   collides with the planner's canonical names. *)
+let test_plan_unsafe_head_raises () =
+  let db = Relalg.Database.create () in
+  let r = Relalg.Database.create_relation db "r" [ "a" ] in
+  insert r [| Relalg.Value.Int 7 |];
+  let bad = q (atom "ans" [ v "p0" ]) [ atom "r" [ v "X" ] ] in
+  let raises f =
+    match f () with
+    | _ -> false
+    | exception Invalid_argument _ -> true
+  in
+  check_b "Eval.run raises" true (raises (fun () -> ignore (Eval.run db bad)));
+  let plan = Plan.build db [ bad ] in
+  check_b "run_union_into raises" true
+    (raises (fun () ->
+         Plan.run_union_into (Relalg.Relation.create (Eval.head_schema bad)) db plan));
+  check_b "run_each raises" true
+    (raises (fun () -> List.length (Plan.run_each db plan)))
+
 let () =
   let qc = List.map QCheck_alcotest.to_alcotest in
   Alcotest.run "cq"
@@ -664,8 +790,14 @@ let () =
          Alcotest.test_case "bindings reused counter" `Quick
            test_plan_bindings_reused_counter;
          Alcotest.test_case "arity mismatch counter" `Quick
-           test_arity_mismatch_counter ]
-       @ qc [ prop_plan_matches_per_rewriting ]);
+           test_arity_mismatch_counter;
+         Alcotest.test_case "grouped bindings reused" `Quick
+           test_plan_grouped_bindings_reused;
+         Alcotest.test_case "unsafe head raises" `Quick
+           test_plan_unsafe_head_raises ]
+       @ qc
+           [ prop_plan_matches_per_rewriting;
+             prop_plan_grouping_matches_per_rewriting ]);
       ("properties",
        qc
          [ prop_containment_sound; prop_minimize_preserves_answers;

@@ -469,6 +469,37 @@ let test_view_maintenance_basic () =
     (P.Updategram.make ~rel:"s" ~deletes:[ [| vi 2; vi 3 |] ] ());
   check_i "gone after both" 0 (P.View_maintenance.cardinality vm)
 
+(* Rows that differ only by a constant's type are distinct tuples: the
+   view and the replica built on it count them apart, and retracting
+   one leaves the other's derivation intact. *)
+let test_typed_rows_stay_apart () =
+  let catalog = P.Catalog.create () in
+  let c = P.Peer.create ~name:"c" ~schema:[ ("t", [ "k"; "v" ]) ] in
+  P.Catalog.add_peer catalog c;
+  let stored = P.Catalog.store_identity catalog c ~rel:"t" in
+  let int_row = [| vs "k"; Relalg.Value.Int 1 |]
+  and str_row = [| vs "k"; vs "1" |] in
+  List.iter (insert stored) [ int_row; str_row ];
+  let query = q (atom "ans" [ v "K"; v "V" ]) [ P.Peer.atom c "t" [ v "K"; v "V" ] ] in
+  let prop = P.Propagate.create catalog in
+  check_i "replica rows" 2 (P.Propagate.materialise prop ~name:"r" ~at:"c" query);
+  let db = P.Catalog.global_db catalog in
+  let view =
+    q (atom "ans" [ v "K"; v "V" ]) [ atom (P.Peer.stored_pred c "t") [ v "K"; v "V" ] ]
+  in
+  let vm = P.View_maintenance.create db view in
+  check_i "view rows" 2 (List.length (P.View_maintenance.tuples vm));
+  P.View_maintenance.apply vm
+    (P.Updategram.make ~rel:(P.Peer.stored_pred c "t") ~deletes:[ int_row ] ());
+  check_b "the string row survives" true
+    (List.for_all
+       (Relalg.Relation.tuple_equal str_row)
+       (P.View_maintenance.tuples vm)
+    && P.View_maintenance.cardinality vm = 1);
+  P.View_maintenance.apply vm
+    (P.Updategram.make ~rel:(P.Peer.stored_pred c "t") ~deletes:[ str_row ] ());
+  check_i "both retracted" 0 (P.View_maintenance.cardinality vm)
+
 let prop_view_maintenance_matches_recompute =
   QCheck.Test.make ~name:"incremental maintenance = recompute" ~count:80
     (QCheck.make QCheck.Gen.(int_bound 10_000) ~print:string_of_int)
@@ -2518,7 +2549,9 @@ let () =
       ("updategram",
        [ Alcotest.test_case "compose" `Quick test_updategram_compose ]);
       ("view-maintenance",
-       [ Alcotest.test_case "basic" `Quick test_view_maintenance_basic ]
+       [ Alcotest.test_case "basic" `Quick test_view_maintenance_basic;
+         Alcotest.test_case "typed rows stay apart" `Quick
+           test_typed_rows_stay_apart ]
        @ qc [ prop_view_maintenance_matches_recompute ]);
       ("keyword",
        [ Alcotest.test_case "cross-peer search" `Quick test_keyword_search;
