@@ -609,7 +609,7 @@ let e9 () =
           (Cq.Atom.make "vw" [ v "X"; v "Z" ])
           [ Cq.Atom.make "r" [ v "X"; v "Y" ]; Cq.Atom.make "s" [ v "Y"; v "Z" ] ]
       in
-      let vm = Pdms.View_maintenance.create db view in
+      let vm = Pdms.View_maintenance.create db [ view ] in
       let grams =
         List.init batch (fun _ ->
             Pdms.Updategram.make ~rel:(if Util.Prng.bool prng then "r" else "s")
@@ -1149,33 +1149,45 @@ let e15_configs ~peers ~cap ~threshold_pct () =
   let once_ms, reference = wall_ms (fun () -> sweep Pdms.Exec.default) in
   let iters = max 1 (min 5_000 (int_of_float (60.0 /. Float.max 0.01 once_ms))) in
   let repeats = 5 in
-  let best exec =
-    let ms = ref infinity in
-    for _ = 1 to repeats do
-      let m, () =
-        wall_ms (fun () ->
-            for _ = 1 to iters do
-              ignore (sweep exec : Cq.Query.t list)
-            done)
-      in
-      if m < !ms then ms := m
-    done;
-    !ms /. float_of_int iters
+  (* One repeat: per-sweep ms over [iters] sweeps. *)
+  let time exec =
+    let m, () =
+      wall_ms (fun () ->
+          for _ = 1 to iters do
+            ignore (sweep exec : Cq.Query.t list)
+          done)
+    in
+    m /. float_of_int iters
   in
   let memory_exec () =
     Pdms.Exec.make ~trace:(Obs.Trace.create (Obs.Sink.memory ())) ()
   in
   (* Mode 1: everything off — the global switch turns even registered
      counters into no-ops, approximating an uninstrumented build. *)
-  Obs.Metrics.set_enabled false;
-  let base_ms, disabled =
-    Fun.protect ~finally:(fun () -> Obs.Metrics.set_enabled true)
-      (fun () -> (best Pdms.Exec.default, sweep Pdms.Exec.default))
+  let metrics_off f =
+    Obs.Metrics.set_enabled false;
+    Fun.protect ~finally:(fun () -> Obs.Metrics.set_enabled true) f
   in
-  (* Mode 2: the permanent default — metrics counted, tracing nulled. *)
-  let null_ms = best Pdms.Exec.default in
+  let disabled = metrics_off (fun () -> sweep Pdms.Exec.default) in
+  (* Modes 1 and 2 (the permanent default — metrics counted, tracing
+     nulled) alternate repeat by repeat, in ABBA order, so host drift
+     during the measurement lands on both modes alike; each keeps its
+     best of [repeats]. *)
+  let base_ms = ref infinity and null_ms = ref infinity in
+  let time_base () =
+    let ms = metrics_off (fun () -> time Pdms.Exec.default) in
+    base_ms := Float.min !base_ms ms
+  and time_null () = null_ms := Float.min !null_ms (time Pdms.Exec.default) in
+  for i = 1 to repeats do
+    if i mod 2 = 1 then (time_base (); time_null ())
+    else (time_null (); time_base ())
+  done;
+  let base_ms = !base_ms and null_ms = !null_ms in
   (* Mode 3: full tracing into a memory sink (what `--trace` pays). *)
-  let traced_ms = best (memory_exec ()) in
+  let traced = memory_exec () in
+  let traced_ms =
+    List.fold_left Float.min infinity (List.init repeats (fun _ -> time traced))
+  in
   (* Instrumentation must not change the result. *)
   let render qs = List.map Cq.Query.to_string qs in
   assert (render disabled = render reference);
@@ -1759,16 +1771,29 @@ let e19 () =
    a function of the WAL suffix length (snapshotting resets the curve
    to near-zero). *)
 
-let e20_dir =
-  let n = ref 0 in
-  fun () ->
-    incr n;
-    let dir =
-      Filename.concat (Filename.get_temp_dir_name ())
-        (Printf.sprintf "revere-e20-%d-%d" (Unix.getpid ()) !n)
-    in
+(* A fresh data directory, removed at exit. Names carry the pid, which
+   the OS reuses, so a name already taken (say, by a killed run) is
+   skipped rather than failing the mkdir. *)
+let e20_dirs = ref 0
+
+let rec e20_dir () =
+  incr e20_dirs;
+  let dir =
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "revere-e20-%d-%d" (Unix.getpid ()) !e20_dirs)
+  in
+  if Sys.file_exists dir then e20_dir ()
+  else begin
     Unix.mkdir dir 0o755;
+    at_exit (fun () ->
+        try
+          Array.iter
+            (fun f -> Sys.remove (Filename.concat dir f))
+            (Sys.readdir dir);
+          Unix.rmdir dir
+        with Sys_error _ | Unix.Unix_error _ -> ());
     dir
+  end
 
 let e20_configs ~rounds ~suffixes configs () =
   header "E20"

@@ -129,7 +129,7 @@ let view_fixture =
       (Cq.Atom.make "vw" [ v "X"; v "Z" ])
       [ Cq.Atom.make "r" [ v "X"; v "Y" ]; Cq.Atom.make "s" [ v "Y"; v "Z" ] ]
   in
-  let vm = Pdms.View_maintenance.create db view in
+  let vm = Pdms.View_maintenance.create db [ view ] in
   let prng' = Util.Prng.create 44 in
   (vm, prng')
 

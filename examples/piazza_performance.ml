@@ -96,7 +96,7 @@ let () =
       [ Cq.Atom.make (Pdms.Peer.stored_pred p0 "course")
           [ Cq.Term.v "C"; Cq.Term.v "T"; Cq.Term.v "I" ] ]
   in
-  let vm = Pdms.View_maintenance.create db view in
+  let vm = Pdms.View_maintenance.create db [ view ] in
   Printf.printf "materialised %d rows at the replica\n"
     (Pdms.View_maintenance.cardinality vm);
   Pdms.View_maintenance.apply vm

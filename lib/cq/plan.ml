@@ -434,6 +434,14 @@ and descend ctx n m =
    position in the sequential and sharded orders. *)
 let walk_root ctx t = List.iter (fun e -> emit ctx e 1) t.root.emits
 
+let iter ?(trace = Obs.Trace.null) db t f =
+  Obs.Trace.span trace "trie_eval" @@ fun () ->
+  let ctx = ctx_create t db (fun e buf m -> f e.query buf m) in
+  walk_root ctx t;
+  List.iter (fun branch -> walk ctx branch 1) t.root.children;
+  Obs.Metrics.add m_reused ctx.reused;
+  Obs.Trace.attr_i trace "bindings_reused" ctx.reused
+
 let run_union_into ?(jobs = 1) ?(trace = Obs.Trace.null) out db t =
   Obs.Trace.span trace "trie_eval" @@ fun () ->
   let nq = Array.length t.queries in

@@ -65,6 +65,18 @@ val build : ?trace:Obs.Trace.t -> Relalg.Database.t -> Query.t list -> t
 
 val stats : t -> build_stats
 
+val iter :
+  ?trace:Obs.Trace.t -> Relalg.Database.t -> t ->
+  (int -> Relalg.Relation.tuple -> int -> unit) -> unit
+(** Walk the trie once, sequentially, with bag semantics: [f query head
+    m] runs at every emit, where [query] is the input position, [head]
+    the emitted head tuple and [m] how many satisfying assignments it
+    stands for (above 1 only where a grouped node folded rows that
+    agree on the live slots). Summing [m] per query gives
+    [|Eval.run_bindings q|]. [head] is scratch, overwritten by the next
+    emit: copy it to keep it. Raises [Invalid_argument] when an unsafe
+    query emits. *)
+
 val run_union_into :
   ?jobs:int -> ?trace:Obs.Trace.t -> Relalg.Relation.t ->
   Relalg.Database.t -> t -> int list

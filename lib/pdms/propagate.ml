@@ -1,7 +1,7 @@
 type replica = {
   name : string;
   at : string;
-  views : View_maintenance.t list;  (* one per rewriting *)
+  view : View_maintenance.t;  (* the union of the query's rewritings *)
   reads : string list;
   mutable lag : Updategram.t list;  (* undelivered grams, newest first *)
 }
@@ -16,37 +16,27 @@ let m_converged = Obs.Metrics.counter "pdms.delta.replicas_converged"
 
 let create catalog = { catalog; db = Catalog.global_db catalog; registry = [] }
 
-let distinct_tuples views =
-  let seen = Relalg.Relation.Tbl.create 64 in
-  List.concat_map View_maintenance.tuples views
-  |> List.filter (fun tuple ->
-         if Relalg.Relation.Tbl.mem seen tuple then false
-         else begin
-           Relalg.Relation.Tbl.replace seen tuple ();
-           true
-         end)
-
 let materialise t ~name ~at ?exec query =
   if List.exists (fun r -> String.equal r.name name) t.registry then
     invalid_arg ("Propagate.materialise: duplicate replica " ^ name);
   let outcome = Reformulate.reformulate ?exec t.catalog query in
-  let views =
-    List.map (View_maintenance.create ?exec t.db) outcome.Reformulate.rewritings
+  let view =
+    View_maintenance.create ?exec t.db outcome.Reformulate.rewritings
   in
   let reads =
     List.concat_map Cq.Query.body_preds outcome.Reformulate.rewritings
     |> List.sort_uniq String.compare
   in
-  t.registry <- { name; at; views; reads; lag = [] } :: t.registry;
-  List.length (distinct_tuples views)
+  t.registry <- { name; at; view; reads; lag = [] } :: t.registry;
+  View_maintenance.cardinality view
 
 let find t name =
   match List.find_opt (fun r -> String.equal r.name name) t.registry with
   | Some r -> r
   | None -> invalid_arg ("Propagate: unknown replica " ^ name)
 
-let tuples t ~name = distinct_tuples (find t name).views
-let cardinality t ~name = List.length (tuples t ~name)
+let tuples t ~name = View_maintenance.tuples (find t name).view
+let cardinality t ~name = View_maintenance.cardinality (find t name).view
 
 (* Shipping cost model shared with {!Distributed}: a flat per-tuple
    estimate. *)
@@ -83,43 +73,25 @@ let push ?(exec = Exec.default) ?network ?prng t (u : Updategram.t) =
   let dependents =
     List.filter (fun r -> List.mem u.Updategram.rel r.reads) t.registry
   in
-  match Relalg.Database.find_opt t.db u.Updategram.rel with
-  | None -> []
-  | Some rel ->
-      Obs.Trace.span exec.Exec.trace "delta.push" @@ fun () ->
-      (* Decide deliverability first: a replica whose delta transfer
-         fails cannot maintain its views around the mutation below, so
-         it queues the gram and goes stale until {!reconcile}. *)
-      let converged, lagging =
-        List.partition (ship ?network ~exec ~prng u) dependents
-      in
-      List.iter (fun r -> r.lag <- u :: r.lag) lagging;
-      let live_views = List.concat_map (fun r -> r.views) converged in
-      let each_view f = List.iter f live_views in
-      (* The database is shared by every replica, so the mutation
-         happens exactly once here; each reachable dependent view
-         maintains its counts around it (deletes while the tuple is
-         still present, inserts after it lands). *)
-      List.iter
-        (fun tuple ->
-          if Relalg.Relation.mem rel tuple then begin
-            each_view (fun vm ->
-                View_maintenance.maintain_delete vm ~rel:u.Updategram.rel
-                  tuple);
-            Relalg.Relation.apply rel (Relalg.Relation.Delta.remove tuple)
-          end)
-        u.Updategram.deletes;
-      List.iter
-        (fun tuple ->
-          if not (Relalg.Relation.mem rel tuple) then begin
-            Relalg.Relation.apply rel (Relalg.Relation.Delta.add tuple);
-            each_view (fun vm ->
-                View_maintenance.maintain_insert vm ~rel:u.Updategram.rel
-                  tuple)
-          end)
-        u.Updategram.inserts;
-      Obs.Metrics.add m_converged (List.length converged);
-      List.map (fun r -> (r.name, r.at)) converged
+  if not (Relalg.Database.mem t.db u.Updategram.rel) then []
+  else begin
+    Obs.Trace.span exec.Exec.trace "delta.push" @@ fun () ->
+    (* Decide deliverability first: a replica whose delta transfer
+       fails cannot maintain its view around the mutation below, so it
+       queues the gram and goes stale until {!reconcile}. *)
+    let converged, lagging =
+      List.partition (ship ?network ~exec ~prng u) dependents
+    in
+    List.iter (fun r -> r.lag <- u :: r.lag) lagging;
+    (* The database is shared by every replica, so the gram is applied
+       exactly once, even when every replica lags; each converged view
+       is maintained around that one mutation. *)
+    View_maintenance.apply_all ~exec t.db
+      (List.map (fun r -> r.view) converged)
+      u;
+    Obs.Metrics.add m_converged (List.length converged);
+    List.map (fun r -> (r.name, r.at)) converged
+  end
 
 let lagging t =
   List.filter_map
@@ -142,7 +114,7 @@ let reconcile ?(exec = Exec.default) ?network ?prng t ~name =
         List.for_all (fun u -> ship ?network ~exec ~prng u r) (List.rev lag)
       in
       if delivered then begin
-        List.iter View_maintenance.refresh r.views;
+        View_maintenance.refresh r.view;
         r.lag <- [];
         Obs.Metrics.incr m_converged
       end;

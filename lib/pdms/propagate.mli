@@ -20,8 +20,9 @@ val create : Catalog.t -> t
 
 val materialise :
   t -> name:string -> at:string -> ?exec:Exec.t -> Cq.Query.t -> int
-(** Reformulate the query, materialise every rewriting as a maintained
-    view, and register them under [name] (hosted at peer [at]).
+(** Reformulate the query, materialise the union of its rewritings as
+    one maintained view, and register it under [name] (hosted at peer
+    [at]).
     Returns the number of distinct tuples materialised. Raises
     [Invalid_argument] on duplicate names. *)
 
@@ -44,7 +45,9 @@ val push :
     [network], the delta is shipped to each dependent host first
     ([exec.retry] + [prng] drive the retry loop); failed deliveries
     land in the replica's lag queue instead.  Converged replicas are
-    maintained by derivation counting, not recomputation. *)
+    maintained by derivation counting, not recomputation, through
+    {!View_maintenance.apply_all}: the relation is mutated once even
+    when every dependent replica lags. *)
 
 val lagging : t -> (string * int) list
 (** Replicas with undelivered updategrams, with their backlog length,
@@ -57,8 +60,8 @@ val reconcile :
   t ->
   name:string ->
   bool
-(** Re-deliver the replica's backlog.  On success the replica's views
-    are refreshed from the current database state (the base already
+(** Re-deliver the replica's backlog.  On success the replica's view
+    is refreshed from the current database state (the base already
     moved on — replaying stale grams would not converge), the lag queue
     clears, and [pdms.delta.replicas_converged] bumps; on failure the
     backlog is kept.  Returns whether the replica is now converged. *)

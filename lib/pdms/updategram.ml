@@ -10,9 +10,9 @@ let m_applied = Obs.Metrics.counter "pdms.delta.applied"
 
 (* The effective {!Relalg.Relation.Delta.t} this updategram denotes
    against the relation's current contents: deletes keep one removal per
-   present tuple (stored relations are kept distinct), and inserts keep
-   the tuples that will actually land under insert-distinct semantics
-   once the deletes have gone through. *)
+   distinct listed tuple that is present, and that removal takes one
+   copy, so a row stored twice keeps its other copy; inserts keep the
+   tuples that are absent or listed among the deletes, once each. *)
 let effective_delta rel t =
   let listed tuple = List.exists (Relalg.Relation.tuple_equal tuple) in
   let dels =

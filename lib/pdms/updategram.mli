@@ -18,9 +18,11 @@ val make :
 
 val effective_delta : Relalg.Relation.t -> t -> Relalg.Relation.Delta.t
 (** What this updategram would actually change against the relation's
-    current contents: deletes of absent tuples are dropped, duplicate
-    deletes collapse to one removal (stored relations are distinct),
-    and inserts that would be no-ops under insert-distinct semantics
+    current contents: deletes of absent tuples are dropped, and each
+    listed row is removed once, taking one copy — stored relations may
+    hold a row twice ({!Pdms_file.parse} and the workload generators
+    can store one), and such a row survives its delete with one copy
+    left. Inserts that would be no-ops under insert-distinct semantics
     (already present and not deleted, or repeated within the gram) are
     dropped.  This is the payload {!Propagate} ships to replicas. *)
 

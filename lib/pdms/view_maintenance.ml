@@ -1,147 +1,123 @@
+(* Counting maintenance of a view union through the Plan slot kernel.
+   The counting argument is in DESIGN.md ("View maintenance"). *)
+
 open Cq
 
-module Smap = Eval.Smap
-module Tbl = Relalg.Relation.Tbl
+module Relation = Relalg.Relation
+module Tbl = Relation.Tbl
 
 type t = {
-  view : Query.t;
+  views : Query.t list;
   db : Relalg.Database.t;
   exec : Exec.t;
-  counts : int Tbl.t;  (* head tuple -> derivation count *)
+  arity : int;  (* every view's head arity *)
+  counts : int ref Tbl.t;  (* view row -> derivations over the support *)
   mutable delta_bindings : int;
 }
 
-let head_tuple (view : Query.t) resolve =
-  Array.of_list
-    (List.map
-       (fun term ->
-         match resolve term with
-         | Some v -> v
-         | None -> invalid_arg "View_maintenance: unsafe view")
-       view.Query.head.Atom.args)
+(* The view's body [body] under [s], with a head that tags the view
+   ([i]), then lists the view row, then the whole assignment: distinct
+   heads are distinct (view, assignment) derivations. *)
+let derivation i (view : Query.t) s body =
+  let term = Subst.apply_term s in
+  let args =
+    (Term.int i :: List.map term view.Query.head.Atom.args)
+    @ List.map (fun x -> term (Term.v x)) (Query.vars view)
+  in
+  Query.make (Atom.make "~derivation" args) (List.map (Subst.apply_atom s) body)
 
-let resolve_with (b : Relalg.Value.t Smap.t) = function
-  | Term.Const v -> Some v
-  | Term.Var x -> Smap.find_opt x b
+(* Count every distinct derivation the union emits once, moving its
+   view row's count by [sign]; returns how many were counted. The
+   scratch head is copied only when it is new, and counts are bumped in
+   place so the stored keys stay the owned copies. *)
+let tally ~trace t sign = function
+  | [] -> 0
+  | queries ->
+      let plan = Plan.build ~trace t.db queries in
+      let seen = Tbl.create 64 in
+      Plan.iter ~trace t.db plan (fun _ head _ ->
+          if not (Tbl.mem seen head) then begin
+            Tbl.add seen (Array.copy head) ();
+            let row = Array.sub head 1 t.arity in
+            match Tbl.find_opt t.counts row with
+            | Some n ->
+                n := !n + sign;
+                if !n = 0 then Tbl.remove t.counts row
+            | None -> Tbl.add t.counts row (ref sign)
+          end);
+      Tbl.length seen
 
-let bump counts tuple delta =
-  let current = Option.value ~default:0 (Tbl.find_opt counts tuple) in
-  let next = current + delta in
-  if next <= 0 then Tbl.remove counts tuple else Tbl.replace counts tuple next
-
-let recompute_counts t =
+let refresh t =
+  let trace = t.exec.Exec.trace in
+  Obs.Trace.span trace "view.refresh" @@ fun () ->
   Tbl.reset t.counts;
-  List.iter
-    (fun b -> bump t.counts (head_tuple t.view (resolve_with b)) 1)
-    (Eval.run_bindings t.db t.view)
+  ignore
+    (tally ~trace t 1
+       (List.mapi (fun i v -> derivation i v Subst.empty v.Query.body) t.views)
+      : int)
 
-let create ?(exec = Exec.default) db view =
-  if not (Query.is_safe view) then
-    invalid_arg "View_maintenance.create: unsafe view";
-  let t = { view; db; exec; counts = Tbl.create 64; delta_bindings = 0 } in
-  recompute_counts t;
+let create ?(exec = Exec.default) db views =
+  let arity =
+    match views with [] -> 0 | v :: _ -> Atom.arity v.Query.head
+  in
+  if
+    List.exists
+      (fun v -> (not (Query.is_safe v)) || Atom.arity v.Query.head <> arity)
+      views
+  then invalid_arg "View_maintenance.create: unsafe view or mixed arities";
+  let t =
+    { views; db; exec; arity; counts = Tbl.create 64; delta_bindings = 0 }
+  in
+  refresh t;
   t
 
-let query t = t.view
-let tuples t = Tbl.fold (fun tuple _ acc -> tuple :: acc) t.counts []
+let tuples t = Tbl.fold (fun row _ acc -> row :: acc) t.counts []
 let cardinality t = Tbl.length t.counts
 
-(* Substitution grounding one body atom to a concrete tuple. *)
-let ground_atom_subst (atom : Atom.t) tuple =
-  if Atom.arity atom <> Array.length tuple then None
-  else
-    let rec go subst i = function
-      | [] -> Some subst
-      | term :: rest -> (
-          match Subst.walk subst term with
-          | Term.Const c ->
-              if Relalg.Value.equal c tuple.(i) then go subst (i + 1) rest
-              else None
-          | Term.Var x ->
-              go (Subst.bind subst x (Term.Const tuple.(i))) (i + 1) rest)
-    in
-    go Subst.empty 0 atom.Atom.args
+(* One copy of each view per occurrence of [rel] and per row that the
+   occurrence matches, with the grounded atom dropped: it holds by
+   construction. *)
+let grounded t rel rows =
+  List.concat
+    (List.mapi
+       (fun i (view : Query.t) ->
+         List.concat
+           (List.mapi
+              (fun k (atom : Atom.t) ->
+                if not (String.equal atom.Atom.pred rel) then []
+                else
+                  let rest = List.filteri (fun j _ -> j <> k) view.Query.body in
+                  List.filter_map
+                    (fun row ->
+                      Array.to_list row |> List.map Term.c |> Atom.make rel
+                      |> Subst.match_atom Subst.empty atom
+                      |> Option.map (fun s -> derivation i view s rest))
+                    rows)
+              view.Query.body))
+       t.views)
 
-(* All derivations that use [tuple] in relation [rel] at some body-atom
-   occurrence, deduplicated across occurrences by the full variable
-   assignment (every derivation binds all body variables, so the values
-   in variable-name order identify it). Must be called while [tuple] is
-   present in the db. *)
-let derivations_using t rel tuple =
-  let seen = Tbl.create 8 in
-  let results = ref [] in
-  List.iteri
-    (fun i (atom : Atom.t) ->
-      if String.equal atom.Atom.pred rel then
-        match ground_atom_subst atom tuple with
-        | None -> ()
-        | Some subst ->
-            let rest =
-              List.filteri (fun j _ -> j <> i) t.view.Query.body
-              |> List.map (Subst.apply_atom subst)
-            in
-            let sub_query = Query.make (Atom.make "~delta" []) rest in
-            List.iter
-              (fun b ->
-                (* Re-attach the variables grounded by the tuple. *)
-                let full =
-                  List.fold_left
-                    (fun acc (x, term) ->
-                      match Subst.walk subst term with
-                      | Term.Const v -> Smap.add x v acc
-                      | Term.Var _ -> acc)
-                    b (Subst.bindings subst)
-                in
-                let key = Array.of_list (List.map snd (Smap.bindings full)) in
-                if not (Tbl.mem seen key) then begin
-                  Tbl.replace seen key ();
-                  results := full :: !results
-                end)
-              (Eval.run_bindings t.db sub_query))
-    t.view.Query.body;
-  !results
+let apply_all ?(exec = Exec.default) db views (u : Updategram.t) =
+  let rel = Relalg.Database.find db u.Updategram.rel in
+  let trace = exec.Exec.trace in
+  Obs.Trace.span trace "view.maintain" @@ fun () ->
+  let d = Updategram.effective_delta rel u in
+  (* Counts range over the stored rows' support: a deleted row leaves
+     it with its last copy, and an inserted row joins it when no copy
+     is left once the deletes are through. *)
+  let copies = Relation.multiplicity rel in
+  let gone = List.filter (fun row -> copies row = 1) (Relation.Delta.dels d)
+  and joined =
+    List.filter (fun row -> copies row <= 1) (Relation.Delta.adds d)
+  in
+  let maintain sign rows t =
+    t.delta_bindings <-
+      t.delta_bindings + tally ~trace t sign (grounded t u.Updategram.rel rows)
+  in
+  List.iter (maintain (-1) gone) views;
+  Relation.apply rel d;
+  List.iter (maintain 1 joined) views
 
-let mentions t rel =
-  List.exists (fun (a : Atom.t) -> String.equal a.Atom.pred rel) t.view.Query.body
-
-let maintain_insert t ~rel tuple =
-  if mentions t rel then
-    List.iter
-      (fun b ->
-        t.delta_bindings <- t.delta_bindings + 1;
-        bump t.counts (head_tuple t.view (resolve_with b)) 1)
-      (derivations_using t rel tuple)
-
-let maintain_delete t ~rel tuple =
-  if mentions t rel then
-    List.iter
-      (fun b ->
-        t.delta_bindings <- t.delta_bindings + 1;
-        bump t.counts (head_tuple t.view (resolve_with b)) (-1))
-      (derivations_using t rel tuple)
-
-let refresh t = recompute_counts t
-
-let apply ?exec t (u : Updategram.t) =
-  let exec = Option.value ~default:t.exec exec in
-  let rel = Relalg.Database.find t.db u.Updategram.rel in
-  Obs.Trace.span exec.Exec.trace "view.maintain" @@ fun () ->
-  (* Deletes: count derivations while the tuple is still present. *)
-  List.iter
-    (fun tuple ->
-      if Relalg.Relation.mem rel tuple then begin
-        maintain_delete t ~rel:u.Updategram.rel tuple;
-        Relalg.Relation.apply rel (Relalg.Relation.Delta.remove tuple)
-      end)
-    u.Updategram.deletes;
-  (* Inserts: add first, then count new derivations (all of them use
-     the new tuple, which was absent before). *)
-  List.iter
-    (fun tuple ->
-      if not (Relalg.Relation.mem rel tuple) then begin
-        Relalg.Relation.apply rel (Relalg.Relation.Delta.add tuple);
-        maintain_insert t ~rel:u.Updategram.rel tuple
-      end)
-    u.Updategram.inserts
+let apply ?exec t u =
+  apply_all ~exec:(Option.value ~default:t.exec exec) t.db [ t ] u
 
 let delta_bindings_processed t = t.delta_bindings

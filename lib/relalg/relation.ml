@@ -142,12 +142,13 @@ let grow t =
     t.rows_arr <- arr
   end
 
+let multiplicity t row = Option.value ~default:0 (Tbl.find_opt t.members row)
+
 let append_row t row =
   grow t;
   t.rows_arr.(t.count_slots) <- row;
   t.count_slots <- t.count_slots + 1;
-  Tbl.replace t.members row
-    (1 + Option.value ~default:0 (Tbl.find_opt t.members row));
+  Tbl.replace t.members row (1 + multiplicity t row);
   (* Live indexes absorb the row instead of being invalidated. *)
   if Hashtbl.length t.indexes > 0 then
     Hashtbl.iter (fun col idx -> index_push idx row.(col) row) t.indexes
@@ -162,7 +163,7 @@ let remove_rows t dels =
   let effective = ref [] in
   List.iter
     (fun row ->
-      let have = Option.value ~default:0 (Tbl.find_opt t.members row) in
+      let have = multiplicity t row in
       let already = Option.value ~default:0 (Tbl.find_opt wanted row) in
       if already < have then begin
         Tbl.replace wanted row (already + 1);

@@ -97,6 +97,10 @@ val delta_floor : t -> int
 val mem : t -> tuple -> bool
 (** Constant-time membership via the internal tuple hash set. *)
 
+val multiplicity : t -> tuple -> int
+(** How many copies of the tuple the relation holds (0 when absent),
+    in constant time. *)
+
 val tuples : t -> tuple list
 (** All rows, oldest first (insertion order).  Memoised per version —
     O(1) on repeated calls against an unchanged relation. *)

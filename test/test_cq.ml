@@ -688,6 +688,34 @@ let prop_plan_grouping_matches_per_rewriting =
       in
       check_jobs 1 && check_jobs 3)
 
+(* The bag walk on the same bags: per query, the multiplicities [iter]
+   passes sum to |run_bindings q|, and its distinct heads are the
+   query's answers. *)
+let prop_plan_iter_is_bag_walk =
+  QCheck.Test.make ~name:"Plan.iter multiplicities = run_bindings on bags"
+    ~count:300
+    QCheck.(
+      pair
+        (make ~print:(fun _ -> "<db>") gen_bag_db)
+        (make
+           ~print:(fun qs -> String.concat "; " (List.map Query.to_string qs))
+           gen_bag_union))
+    (fun (db, qs) ->
+      let sums = Array.make (List.length qs) 0 in
+      let heads =
+        Array.of_list
+          (List.map (fun qq -> Relalg.Relation.create (Eval.head_schema qq)) qs)
+      in
+      Plan.iter db (Plan.build db qs) (fun i head m ->
+          sums.(i) <- sums.(i) + m;
+          Eval.add_distinct heads.(i) (Array.copy head));
+      List.for_all2
+        (fun (qq, n) rel ->
+          n = List.length (Eval.run_bindings db qq)
+          && rel_rows rel = rel_rows (Eval.run db qq))
+        (List.combine qs (Array.to_list sums))
+        (Array.to_list heads))
+
 (* r's second column is dead (nothing after it reads Y) and repeats
    under key X = 1, so the walk visits t once per distinct X with the
    group size as multiplicity; bindings_reused still counts every
@@ -797,7 +825,8 @@ let () =
            test_plan_unsafe_head_raises ]
        @ qc
            [ prop_plan_matches_per_rewriting;
-             prop_plan_grouping_matches_per_rewriting ]);
+             prop_plan_grouping_matches_per_rewriting;
+             prop_plan_iter_is_bag_walk ]);
       ("properties",
        qc
          [ prop_containment_sound; prop_minimize_preserves_answers;

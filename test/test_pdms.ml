@@ -447,7 +447,7 @@ let sorted_tuples vm =
 
 let test_view_maintenance_basic () =
   let db = vm_db () in
-  let vm = P.View_maintenance.create db vm_view in
+  let vm = P.View_maintenance.create db [ vm_view ] in
   check_i "empty initially" 0 (P.View_maintenance.cardinality vm);
   P.View_maintenance.apply vm
     (P.Updategram.make ~rel:"r" ~inserts:[ [| vi 1; vi 2 |] ] ());
@@ -487,7 +487,7 @@ let test_typed_rows_stay_apart () =
   let view =
     q (atom "ans" [ v "K"; v "V" ]) [ atom (P.Peer.stored_pred c "t") [ v "K"; v "V" ] ]
   in
-  let vm = P.View_maintenance.create db view in
+  let vm = P.View_maintenance.create db [ view ] in
   check_i "view rows" 2 (List.length (P.View_maintenance.tuples vm));
   P.View_maintenance.apply vm
     (P.Updategram.make ~rel:(P.Peer.stored_pred c "t") ~deletes:[ int_row ] ());
@@ -500,26 +500,107 @@ let test_typed_rows_stay_apart () =
     (P.Updategram.make ~rel:(P.Peer.stored_pred c "t") ~deletes:[ str_row ] ());
   check_i "both retracted" 0 (P.View_maintenance.cardinality vm)
 
+(* Unions that exercise the delta rule's corners: a join, a self-join,
+   a constant, a repeated variable, and two-view unions. *)
+let vm_unions =
+  let x = v "X" and y = v "Y" and z = v "Z" and one = Term.int 1 in
+  let r a b = atom "r" [ a; b ] and s a b = atom "s" [ a; b ] in
+  let vw body = q (atom "vw" [ x; z ]) body in
+  [ [ vm_view ];
+    [ vw [ r x y; r y z ] ];
+    [ vw [ r x one; s one z ] ];
+    [ q (atom "vw" [ x; x ]) [ r x x; s x y ] ];
+    [ vm_view; vw [ s x z ] ];
+    [ vw [ r x y; r y z ]; vw [ s x y; r y z ] ] ]
+
+(* The union's rows by independent per-view evaluation. *)
+let union_rows db views =
+  List.concat_map (fun view -> Relalg.Relation.tuples (Eval.run db view)) views
+  |> List.map (fun row -> Array.to_list (Array.map Relalg.Value.to_string row))
+  |> List.sort_uniq compare
+
+(* Batch grams of 0-3 deletes and 0-3 inserts over a 3x3 domain, so a
+   row may be deleted and reinserted in one gram and may repeat within
+   a list; the stored relations start with some rows held twice. After
+   every gram the view must equal per-view evaluation, and at the end a
+   refresh must agree too. *)
 let prop_view_maintenance_matches_recompute =
-  QCheck.Test.make ~name:"incremental maintenance = recompute" ~count:80
+  QCheck.Test.make ~name:"incremental maintenance = recompute" ~count:200
     (QCheck.make QCheck.Gen.(int_bound 10_000) ~print:string_of_int)
     (fun seed ->
       let prng = Util.Prng.create seed in
       let db = vm_db () in
-      let vm = P.View_maintenance.create db vm_view in
-      let random_tuple () = [| vi (Util.Prng.int prng 4); vi (Util.Prng.int prng 4) |] in
-      for _ = 1 to 25 do
+      let row () = [| vi (Util.Prng.int prng 3); vi (Util.Prng.int prng 3) |] in
+      let rows bound = List.init (Util.Prng.int prng bound) (fun _ -> row ()) in
+      List.iter
+        (fun rel ->
+          let initial = rows 6 in
+          Relalg.Relation.apply (Relalg.Database.find db rel)
+            (Relalg.Relation.Delta.of_rows
+               (initial @ List.filteri (fun k _ -> k mod 2 = 0) initial)))
+        [ "r"; "s" ];
+      let views = List.nth vm_unions (seed mod List.length vm_unions) in
+      let vm = P.View_maintenance.create db views in
+      let agrees () = sorted_tuples vm = union_rows db views in
+      let rec grams n =
+        n = 0
+        ||
         let rel = if Util.Prng.bool prng then "r" else "s" in
-        let u =
-          if Util.Prng.bernoulli prng 0.7 then
-            P.Updategram.make ~rel ~inserts:[ random_tuple () ] ()
-          else P.Updategram.make ~rel ~deletes:[ random_tuple () ] ()
+        let deletes = rows 4 in
+        let inserts =
+          rows 4 @ if Util.Prng.bool prng then List.filteri (fun k _ -> k = 0) deletes else []
         in
-        P.View_maintenance.apply vm u
-      done;
-      let incremental = sorted_tuples vm in
-      P.View_maintenance.refresh vm;
-      incremental = sorted_tuples vm)
+        P.View_maintenance.apply vm (P.Updategram.make ~rel ~inserts ~deletes ());
+        agrees () && grams (n - 1)
+      in
+      grams 20
+      &&
+      (P.View_maintenance.refresh vm;
+       agrees ()))
+
+(* A row stored twice under a self-join: deleting one copy keeps the
+   derivation that reads it at both occurrences, deleting the other
+   retracts it. *)
+let test_view_maintenance_repeated_row () =
+  let db = vm_db () in
+  let r = Relalg.Database.find db "r" in
+  let loop = [| vi 1; vi 1 |] in
+  Relalg.Relation.apply r (Relalg.Relation.Delta.of_rows [ loop; loop ]);
+  let view =
+    q (atom "vw" [ v "X"; v "Z" ]) [ atom "r" [ v "X"; v "Y" ]; atom "r" [ v "Y"; v "Z" ] ]
+  in
+  let vm = P.View_maintenance.create db [ view ] in
+  let delete () =
+    P.View_maintenance.apply vm (P.Updategram.make ~rel:"r" ~deletes:[ loop ] ())
+  in
+  delete ();
+  check_b "one copy left" true (sorted_tuples vm = [ [ "1"; "1" ] ]);
+  delete ();
+  check_i "last copy gone" 0 (P.View_maintenance.cardinality vm)
+
+(* Tracing is observation only: the same grams give the same rows, and
+   each gram's maintenance shows as a [view.maintain] span with the
+   delta plan and its walk under it. *)
+let test_view_maintenance_trace () =
+  let run exec =
+    let db = vm_db () in
+    let vm = P.View_maintenance.create ~exec db [ vm_view ] in
+    List.iter (P.View_maintenance.apply vm)
+      [ P.Updategram.make ~rel:"r" ~inserts:[ [| vi 1; vi 2 |]; [| vi 4; vi 2 |] ] ();
+        P.Updategram.make ~rel:"s" ~inserts:[ [| vi 2; vi 3 |] ] ();
+        P.Updategram.make ~rel:"r" ~deletes:[ [| vi 4; vi 2 |] ] () ];
+    sorted_tuples vm
+  in
+  let sink = Obs.Sink.memory () in
+  let traced = run (P.Exec.make ~trace:(Obs.Trace.create sink) ()) in
+  check_b "same rows traced and untraced" true (traced = run P.Exec.default);
+  check_b "rows" true (traced = [ [ "1"; "3" ] ]);
+  let names = List.map Obs.Span.names (Obs.Sink.spans sink) in
+  Alcotest.(check (list (list string)))
+    "span trees"
+    ([ [ "view.refresh"; "plan"; "trie_eval" ] ]
+    @ List.init 3 (fun _ -> [ "view.maintain"; "plan"; "trie_eval" ]))
+    names
 
 (* Non-identity storage description: the peer stores only a selection
    of its logical relation (A:R ⊆ Q(P) with a constant filter). *)
@@ -2151,6 +2232,86 @@ let test_propagate_lag_and_reconcile () =
   check_i "uw caught up" 4 (P.Propagate.cardinality prop ~name:"at-uw");
   check_i "mit caught up too" 4 (P.Propagate.cardinality prop ~name:"at-mit")
 
+(* Replicas of a plain, a self-join and a constant query over UW's
+   schema, all answered from MIT's stored relation through the mapping,
+   plus MIT's own. *)
+let propagate_queries uw mit =
+  let x = v "X" and y = v "Y" and z = v "Z" in
+  let course a b = P.Peer.atom uw "course" [ a; b ] in
+  [ ("at-uw", "uw", q (atom "a" [ x; y ]) [ course x y ]);
+    ("pairs", "uw", q (atom "p" [ x; z ]) [ course x y; course z y ]);
+    ("systems", "uw", q (atom "c" [ x ]) [ course x (Term.str "systems") ]);
+    ("at-mit", "mit", q (atom "b" [ x; y ]) [ P.Peer.atom mit "subject" [ x; y ] ]) ]
+
+let replica_agrees prop catalog (name, _, query) =
+  List.sort compare
+    (List.map
+       (fun row -> Array.to_list (Array.map Relalg.Value.to_string row))
+       (P.Propagate.tuples prop ~name))
+  = P.Answer.answers_list (P.Answer.answer catalog query)
+
+let prop_propagate_matches_answer =
+  QCheck.Test.make ~name:"propagated replicas = answer path" ~count:40
+    (QCheck.make QCheck.Gen.(int_bound 10_000) ~print:string_of_int)
+    (fun seed ->
+      let prng = Util.Prng.create seed in
+      let catalog, uw, mit = two_peer_catalog `Equality in
+      let prop = P.Propagate.create catalog in
+      let queries = propagate_queries uw mit in
+      List.iter
+        (fun (name, at, query) -> ignore (P.Propagate.materialise prop ~name ~at query))
+        queries;
+      let pick l = List.nth l (Util.Prng.int prng (List.length l)) in
+      let row () =
+        [| vs (pick [ "6.033"; "6.830"; "6.001" ]); vs (pick [ "systems"; "databases" ]) |]
+      in
+      let rows () = List.init (Util.Prng.int prng 4) (fun _ -> row ()) in
+      let rel = P.Peer.stored_pred mit "subject" in
+      let rec grams n =
+        n = 0
+        ||
+        (ignore
+           (P.Propagate.push prop
+              (P.Updategram.make ~rel ~deletes:(rows ()) ~inserts:(rows ()) ()));
+         List.for_all (replica_agrees prop catalog) queries && grams (n - 1))
+      in
+      grams 12)
+
+(* Every dependent replica sits on a downed peer: the push converges
+   none of them, yet the shared relation still takes the gram exactly
+   once, and reconciling catches every replica up with the answer path. *)
+let test_propagate_all_lagging () =
+  let catalog, uw, mit = two_peer_catalog `Equality in
+  let prop = P.Propagate.create catalog in
+  let queries =
+    List.filter (fun (_, at, _) -> String.equal at "uw") (propagate_queries uw mit)
+  in
+  List.iter
+    (fun (name, at, query) -> ignore (P.Propagate.materialise prop ~name ~at query))
+    queries;
+  let network = P.Distributed.network_of_catalog catalog ~latency_ms:1.0 in
+  P.Network.Fault.fail_peer network "uw";
+  let rel = P.Peer.stored_pred mit "subject" in
+  let stored = Relalg.Database.find (P.Catalog.global_db catalog) rel in
+  let version = Relalg.Relation.version stored in
+  let touched =
+    P.Propagate.push prop ~network
+      (P.Updategram.make ~rel ~inserts:[ [| vs "6.001"; vs "systems" |] ] ())
+  in
+  check_i "no replica converged" 0 (List.length touched);
+  check_i "one mutation" (version + 1) (Relalg.Relation.version stored);
+  check_i "row landed" 3 (Relalg.Relation.cardinality stored);
+  check_i "every replica lags" (List.length queries)
+    (List.length (P.Propagate.lagging prop));
+  check_i "stale replica" 2 (P.Propagate.cardinality prop ~name:"at-uw");
+  P.Network.Fault.heal_peer network "uw";
+  List.iter
+    (fun (name, _, _) ->
+      check_b ("reconciled " ^ name) true (P.Propagate.reconcile prop ~network ~name))
+    queries;
+  check_b "caught up with the answer path" true
+    (List.for_all (replica_agrees prop catalog) queries)
+
 (* ------------------------------------------------------------------ *)
 (* Observability: tracing must be invisible in the answers, and the
    span tree must reflect the answer path's phases. *)
@@ -2551,7 +2712,11 @@ let () =
       ("view-maintenance",
        [ Alcotest.test_case "basic" `Quick test_view_maintenance_basic;
          Alcotest.test_case "typed rows stay apart" `Quick
-           test_typed_rows_stay_apart ]
+           test_typed_rows_stay_apart;
+         Alcotest.test_case "repeated row under a self-join" `Quick
+           test_view_maintenance_repeated_row;
+         Alcotest.test_case "traced maintenance" `Quick
+           test_view_maintenance_trace ]
        @ qc [ prop_view_maintenance_matches_recompute ]);
       ("keyword",
        [ Alcotest.test_case "cross-peer search" `Quick test_keyword_search;
@@ -2620,7 +2785,10 @@ let () =
          Alcotest.test_case "multiple replicas" `Quick
            test_propagate_multiple_replicas_consistent;
          Alcotest.test_case "lag and reconcile" `Quick
-           test_propagate_lag_and_reconcile ]);
+           test_propagate_lag_and_reconcile;
+         Alcotest.test_case "every replica lags" `Quick
+           test_propagate_all_lagging ]
+       @ qc [ prop_propagate_matches_answer ]);
       ("placement",
        [ Alcotest.test_case "greedy improves" `Quick test_placement_greedy_improves ]);
       ("parallel",
